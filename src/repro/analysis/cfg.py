@@ -11,12 +11,17 @@ instruction of a protected range, not from block boundaries.
 The graph is the substrate of the typed verifier's fixpoint and of the
 unreachable-code check; it works on :class:`MethodInfo` code whose
 branch operands are already resolved to instruction indices.
+
+:func:`solve_forward` is the one forward dataflow solver: every
+fixpoint over bytecode (stack depth, types, monitor depth, class-set
+flows, locksets, thread escape, reachability) is a transfer function
+and a join handed to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.bytecode.instructions import ExceptionEntry, Instruction
 from repro.bytecode.opcodes import OperandKind
@@ -65,23 +70,57 @@ class CFG:
         exception edges."""
         if not self.blocks:
             return []
-        seen = {0}
-        stack = [0]
-        while stack:
-            block = self.blocks[stack.pop()]
-            targets = list(block.successors)
+
+        def transfer(index, state):
+            block = self.blocks[index]
+            for successor in block.successors:
+                yield successor, state
             for pc in block.pcs:
                 for entry in self.handlers_covering(pc):
-                    targets.append(self._block_index_of[entry.handler])
-            for target in targets:
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
+                    yield self._block_index_of[entry.handler], state
+
+        seen = solve_forward({0: True}, transfer,
+                             lambda node, old, new, src: old)
         return [self.blocks[i] for i in sorted(seen)]
 
     def unreachable_blocks(self) -> List[BasicBlock]:
         reachable = {b.index for b in self.reachable_blocks()}
         return [b for b in self.blocks if b.index not in reachable]
+
+
+def solve_forward(entries: Dict, transfer: Callable,
+                  join: Callable) -> Dict:
+    """Run a forward dataflow problem to fixpoint; returns the in-state
+    of every node reached.
+
+    Nodes are whatever the client keys states by — pcs or block
+    indices — and states are any non-``None`` values compared with
+    ``==``.  ``entries`` seeds the in-states (in order); the worklist is
+    LIFO with a queued-set, so a node is pending at most once.
+    ``transfer(node, state)`` yields ``(successor, out_state)`` pairs
+    and is consumed lazily, so a client may report per-edge as it
+    walks.  The first state to reach a node is taken as is; later ones
+    go through ``join(node, old, new, src)``, which returns the merged
+    state — or reports/raises on a conflict and returns ``old``.  A
+    node is re-queued only when its state changes.
+    """
+    states = dict(entries)
+    work = list(states)
+    queued = set(work)
+    while work:
+        node = work.pop()
+        queued.discard(node)
+        for succ, out in transfer(node, states[node]):
+            old = states.get(succ)
+            if old is not None:
+                out = join(succ, old, out, node)
+                if out == old:
+                    continue
+            states[succ] = out
+            if succ not in queued:
+                queued.add(succ)
+                work.append(succ)
+    return states
 
 
 def build_cfg(code: Sequence[Instruction],

@@ -47,7 +47,7 @@ from repro.analysis.callgraph import (
     ClassHierarchy,
     build_call_graph,
 )
-from repro.analysis.cfg import build_cfg
+from repro.analysis.cfg import CFG, build_cfg, solve_forward
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.locks import LockOrderGraph
 from repro.bytecode.opcodes import SPECS, Op
@@ -204,16 +204,10 @@ def _declaring(hierarchy: ClassHierarchy, class_name: str,
     return class_name
 
 
-def _interpret(cf, method, qname: str, hierarchy: ClassHierarchy,
+def _interpret(cf, method, cfg: CFG, hierarchy: ClassHierarchy,
                flows: _Flows, facts: Optional[_Facts]) -> None:
     """One abstract-interpretation pass over ``method``."""
     code = method.code
-    if not code:
-        return
-    try:
-        cfg = build_cfg(code, method.exception_table)
-    except Exception:
-        return  # the verifier owns malformed code reporting
     params, _ret = parse_descriptor(method.descriptor)
     locals0: List[FrozenSet[str]] = []
     if not method.is_static:
@@ -224,46 +218,27 @@ def _interpret(cf, method, qname: str, hierarchy: ClassHierarchy,
         locals0.append(_EMPTY)
 
     pool = cf.constant_pool
-    n_blocks = len(cfg.blocks)
-    in_states: List[Optional[Tuple[tuple, tuple]]] = [None] * n_blocks
-    in_states[0] = (tuple(locals0), ())
+    entries = {0: (tuple(locals0), ())}
     for block in cfg.blocks:
-        if block.is_handler and in_states[block.index] is None:
+        if block.is_handler:
             # handler entry: locals merged lazily below; stack is the
             # thrown exception (class unknown)
-            in_states[block.index] = (tuple(locals0), (_EMPTY,))
-    worklist = [0] + [b.index for b in cfg.blocks if b.is_handler]
-    on_list = set(worklist)
+            entries.setdefault(block.index, (tuple(locals0), (_EMPTY,)))
 
-    def merge_into(index: int, state: Tuple[tuple, tuple]) -> None:
-        old = in_states[index]
-        if old is None:
-            in_states[index] = state
-        else:
-            old_l, old_s = old
-            new_l, new_s = state
-            if len(old_s) != len(new_s):
-                return  # verifier territory; skip the merge
-            merged_l = tuple(a | b for a, b in zip(old_l, new_l))
-            merged_s = tuple(a | b for a, b in zip(old_s, new_s))
-            merged = (merged_l, merged_s)
-            if merged == old:
-                return
-            in_states[index] = merged
-        if index not in on_list:
-            worklist.append(index)
-            on_list.add(index)
+    def join(index: int, old: Tuple[tuple, tuple], new: Tuple[tuple, tuple],
+             src: int) -> Tuple[tuple, tuple]:
+        old_l, old_s = old
+        merged_l = tuple(a | b for a, b in zip(old_l, new[0]))
+        if cfg.blocks[index].is_handler:
+            return (merged_l, old_s)  # locals flow in; stack is fixed
+        if len(old_s) != len(new[1]):
+            return old  # verifier territory; skip the merge
+        return (merged_l, tuple(a | b for a, b in zip(old_s, new[1])))
 
-    while worklist:
-        index = worklist.pop()
-        on_list.discard(index)
-        state = in_states[index]
-        if state is None:
-            continue
+    def transfer(index: int, state: Tuple[tuple, tuple]):
         block = cfg.blocks[index]
         locs = list(state[0])
         stack = list(state[1])
-        ok = True
         for pc in range(block.start, block.end):
             ins = code[pc]
             op = ins.op
@@ -361,57 +336,32 @@ def _interpret(cf, method, qname: str, hierarchy: ClassHierarchy,
                     for _ in range(pushes):
                         stack.append(_EMPTY)
             except (IndexError, ConstantPoolError, ClassFileError):
-                ok = False
-                break
-        if not ok:
-            continue
+                return
         out = (tuple(locs), tuple(stack))
         for succ in block.successors:
-            if cfg.blocks[succ].is_handler:
-                # locals flow into the handler; its stack is fixed
-                handler_state = in_states[succ]
-                merged_l = tuple(
-                    a | b for a, b in zip(handler_state[0], out[0]))
-                if merged_l != handler_state[0]:
-                    in_states[succ] = (merged_l, handler_state[1])
-                    if succ not in on_list:
-                        worklist.append(succ)
-                        on_list.add(succ)
-            else:
-                merge_into(succ, out)
+            yield succ, out
+
+    solve_forward(entries, transfer, join)
 
 
 # ---------------------------------------------------------------------------
 # pass 3: lockset dataflow
 
 
-def _lockset_pass(method, facts: _Facts,
+def _lockset_pass(method, cfg: CFG, facts: _Facts,
                   entry: FrozenSet[str]) -> Dict[int, FrozenSet[str]]:
     """Per-pc held locksets for the pcs in ``facts`` (field accesses,
     monitor enters, and call sites), given the method's interprocedural
     entry lockset."""
     code = method.code
-    cfg = build_cfg(code, method.exception_table)
     entry_state = {token: 1 for token in entry}
-    n_blocks = len(cfg.blocks)
-    in_states: List[Optional[Dict[str, int]]] = [None] * n_blocks
-    in_states[0] = dict(entry_state)
-    for block in cfg.blocks:
-        if block.is_handler:
-            # conservative: a handler may be reached from anywhere in
-            # the try range, so only the entry lockset is guaranteed
-            in_states[block.index] = dict(entry_state)
-    worklist = [b.index for b in cfg.blocks
-                if in_states[b.index] is not None]
-    on_list = set(worklist)
+    # conservative: a handler may be reached from anywhere in the try
+    # range, so only the entry lockset is guaranteed there
+    entries = {0: entry_state}
+    entries.update((b.index, entry_state) for b in cfg.handler_blocks)
     held_at: Dict[int, FrozenSet[str]] = {}
 
-    while worklist:
-        index = worklist.pop()
-        on_list.discard(index)
-        state = in_states[index]
-        if state is None:
-            continue
+    def transfer(index: int, state: Dict[str, int]):
         held = dict(state)
         block = cfg.blocks[index]
         for pc in range(block.start, block.end):
@@ -437,23 +387,17 @@ def _lockset_pass(method, facts: _Facts,
                         held[token] -= 1
         out = {t: n for t, n in held.items() if n > 0}
         for succ in block.successors:
-            if cfg.blocks[succ].is_handler:
-                continue  # pinned to the entry lockset
-            old = in_states[succ]
-            if old is None:
-                in_states[succ] = dict(out)
-                changed = True
-            else:
-                # intersection: a lock is held only if held on every
-                # path (per-token minimum count)
-                merged = {t: min(n, old[t]) for t, n in out.items()
-                          if t in old and min(n, old[t]) > 0}
-                changed = merged != old
-                if changed:
-                    in_states[succ] = merged
-            if changed and succ not in on_list:
-                worklist.append(succ)
-                on_list.add(succ)
+            if not cfg.blocks[succ].is_handler:  # pinned to the entry
+                yield succ, out
+
+    def join(index: int, old: Dict[str, int], new: Dict[str, int],
+             src: int) -> Dict[str, int]:
+        # intersection: a lock is held only if held on every path
+        # (per-token minimum count)
+        return {t: min(n, old[t]) for t, n in new.items()
+                if t in old and min(n, old[t]) > 0}
+
+    solve_forward(entries, transfer, join)
     return held_at
 
 
@@ -470,16 +414,25 @@ def analyze_races(hierarchy: ClassHierarchy,
     report = AnalysisReport()
     lock_order = LockOrderGraph()
 
+    # one CFG per analyzed method, shared by the flow and lockset rounds
+    cfgs: Dict[str, CFG] = {}
+    for qname in reachable:
+        method = graph.methods.get(qname)
+        if method is None or method.is_native or not method.code:
+            continue
+        try:
+            cfgs[qname] = build_cfg(method.code, method.exception_table)
+        except Exception:
+            continue  # the verifier owns malformed code reporting
+
     # -- pass 1: flows, to fixpoint, then a facts-recording pass
     flows = _Flows()
     for _round in range(20):
         flows.changed = False
-        for qname in reachable:
-            method = graph.methods.get(qname)
-            if method is None or method.is_native:
-                continue
+        for qname, cfg in cfgs.items():
             cf = hierarchy.get(graph.owner[qname])
-            _interpret(cf, method, qname, hierarchy, flows, None)
+            _interpret(cf, graph.methods[qname], cfg, hierarchy, flows,
+                       None)
         if not flows.changed:
             break
     facts: Dict[str, _Facts] = {}
@@ -488,8 +441,10 @@ def analyze_races(hierarchy: ClassHierarchy,
         if method is None or method.is_native:
             continue
         f = _Facts()
-        cf = hierarchy.get(graph.owner[qname])
-        _interpret(cf, method, qname, hierarchy, flows, f)
+        cfg = cfgs.get(qname)
+        if cfg is not None:
+            cf = hierarchy.get(graph.owner[qname])
+            _interpret(cf, method, cfg, hierarchy, flows, f)
         facts[qname] = f
 
     # -- pass 2: thread-escape
@@ -520,27 +475,18 @@ def analyze_races(hierarchy: ClassHierarchy,
                             racy_fields=set(), lock_order=lock_order,
                             multithreaded=False)
 
-    shared: Set[str] = set(thread_classes)
-    escaping_containers = {STATIC}
-    while True:
-        grew = False
-        for container, values in flows.contains.items():
-            if container in escaping_containers or container in shared:
-                for v in values:
-                    if v == ARRAY:
-                        if ARRAY not in escaping_containers:
-                            escaping_containers.add(ARRAY)
-                            grew = True
-                    elif v not in shared:
-                        shared.add(v)
-                        grew = True
-        if ARRAY in escaping_containers:
+    # least fixed point: what the started threads and the statics reach
+    # over "is stored into" edges (an escaping array leaks its contents)
+    def stored_into(container: str, state: bool):
+        for v in flows.contains.get(container, ()):
+            yield v, state
+        if container == ARRAY:
             for v in flows.array_contents:
-                if v != ARRAY and v not in shared:
-                    shared.add(v)
-                    grew = True
-        if not grew:
-            break
+                yield v, state
+
+    reached = solve_forward(dict.fromkeys(thread_classes | {STATIC}, True),
+                            stored_into, lambda node, old, new, src: old)
+    shared: Set[str] = set(reached) - {STATIC, ARRAY}
 
     # -- pass 3: interprocedural entry locksets, to fixpoint
     sites_by_caller: Dict[str, List] = {}
@@ -554,10 +500,11 @@ def analyze_races(hierarchy: ClassHierarchy,
         changed = False
         for qname in reachable:
             entry = entry_locks.get(qname)
-            method = graph.methods.get(qname)
-            if entry is None or method is None or not method.code:
+            cfg = cfgs.get(qname)
+            if entry is None or cfg is None:
                 continue
-            held_at = _lockset_pass(method, facts[qname], entry)
+            held_at = _lockset_pass(graph.methods[qname], cfg,
+                                    facts[qname], entry)
             held_maps[qname] = held_at
             for site in sites_by_caller.get(qname, ()):
                 at_site = held_at.get(site.pc, _EMPTY)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.cfg import build_cfg
+from repro.analysis.cfg import build_cfg, solve_forward
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.bytecode.opcodes import INVOKE_OPS, Op
 from repro.bytecode.verifier import verify_method
@@ -101,6 +101,10 @@ State = Tuple[Tuple[VType, ...], Tuple[VType, ...]]  # (locals, stack)
 
 class _Abort(Exception):
     """Stops interpreting a block after an unrecoverable finding."""
+
+
+class _Diverged(Exception):
+    """The typed fixpoint exceeded its iteration limit."""
 
 
 # Opcode groups sharing a transfer rule ---------------------------------------
@@ -408,66 +412,52 @@ class TypedMethodVerifier:
         code = method.code
         cfg = build_cfg(code, method.exception_table)
 
-        in_states: Dict[int, State] = {0: self.entry_state()}
-        worklist = [0]
-
-        def merge_into(block_index: int, locals_: Tuple[VType, ...],
-                       stack: Tuple[VType, ...], from_pc: int) -> None:
-            known = in_states.get(block_index)
-            if known is None:
-                in_states[block_index] = (locals_, stack)
-                worklist.append(block_index)
-                return
-            known_locals, known_stack = known
-            if len(known_stack) != len(stack):
-                self._error(
-                    "stack-merge",
-                    f"inconsistent stack depth at join "
-                    f"({len(known_stack)} vs {len(stack)})", pc=from_pc)
-                return
-            merged_locals = tuple(map(join_types, known_locals, locals_))
-            merged_stack = tuple(map(join_types, known_stack, stack))
-            if (merged_locals, merged_stack) != known:
-                in_states[block_index] = (merged_locals, merged_stack)
-                if block_index not in worklist:
-                    worklist.append(block_index)
-
         handler_block_of = {
             entry.handler: cfg.block_of(entry.handler).index
             for entry in method.exception_table}
-
         iterations = 0
         limit = 50 * max(1, len(code)) * max(1, len(cfg.blocks))
-        while worklist:
+
+        def transfer(block_index: int, state: State):
+            nonlocal iterations
             iterations += 1
             if iterations > limit:  # pragma: no cover - safety valve
-                self._error("fixpoint-divergence",
-                            "typed dataflow did not converge")
-                break
-            block_index = worklist.pop()
+                raise _Diverged()
             block = cfg.blocks[block_index]
-            locals_t, stack_t = in_states[block_index]
-            locals_ = list(locals_t)
-            stack = list(stack_t)
-            aborted = False
+            locals_ = list(state[0])
+            stack = list(state[1])
             for pc in block.pcs:
                 self._pc = pc
                 # exception edge: the handler sees this instruction's
                 # locals and a one-element stack (the thrown object)
                 for entry in cfg.handlers_covering(pc):
-                    merge_into(handler_block_of[entry.handler],
-                               tuple(locals_), (VType.REF,), pc)
+                    yield (handler_block_of[entry.handler],
+                           (tuple(locals_), (VType.REF,)))
                 try:
                     self.step(code[pc], locals_, stack)
                 except _Abort:
-                    aborted = True
-                    break
-            if aborted:
-                continue
-            last_pc = block.end - 1
+                    return
             for successor in block.successors:
-                merge_into(successor, tuple(locals_), tuple(stack),
-                           last_pc)
+                yield successor, (tuple(locals_), tuple(stack))
+
+        def join(block_index: int, known: State, new: State,
+                 src: int) -> State:
+            # self._pc is the edge's source instruction: the covered pc
+            # for a handler edge, the block's last pc otherwise
+            if len(known[1]) != len(new[1]):
+                self._error(
+                    "stack-merge",
+                    f"inconsistent stack depth at join "
+                    f"({len(known[1])} vs {len(new[1])})")
+                return known
+            return (tuple(map(join_types, known[0], new[0])),
+                    tuple(map(join_types, known[1], new[1])))
+
+        try:
+            solve_forward({0: self.entry_state()}, transfer, join)
+        except _Diverged:  # pragma: no cover - safety valve
+            self._error("fixpoint-divergence",
+                        "typed dataflow did not converge")
 
         for block in cfg.unreachable_blocks():
             self._report(Severity.WARNING, "unreachable-code",
@@ -489,11 +479,7 @@ class TypedMethodVerifier:
         interpreter raises IllegalMonitorStateException dynamically,
         but an unbalanced method is a lock-leak bug worth flagging
         before it ever runs."""
-        depth_in: Dict[int, int] = {0: 0}
-        worklist = [0]
-        while worklist:
-            index = worklist.pop()
-            depth = depth_in[index]
+        def transfer(index: int, depth: int):
             block = cfg.blocks[index]
             for pc in block.pcs:
                 op = code[pc].op
@@ -514,16 +500,18 @@ class TypedMethodVerifier:
                             f"method returns holding {depth} "
                             f"monitor(s)", pc=pc)
             for successor in block.successors:
-                known = depth_in.get(successor)
-                if known is None:
-                    depth_in[successor] = depth
-                    worklist.append(successor)
-                elif known != depth:
-                    self._report(
-                        Severity.WARNING, "monitor-bracketing",
-                        f"inconsistent monitor depth at join "
-                        f"({known} vs {depth})",
-                        pc=cfg.blocks[successor].start)
+                yield successor, depth
+
+        def join(index: int, known: int, depth: int, src: int) -> int:
+            if known != depth:
+                self._report(
+                    Severity.WARNING, "monitor-bracketing",
+                    f"inconsistent monitor depth at join "
+                    f"({known} vs {depth})",
+                    pc=cfg.blocks[index].start)
+            return known
+
+        solve_forward({0: 0}, transfer, join)
 
 
 # -- public entry points -------------------------------------------------------

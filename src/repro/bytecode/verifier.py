@@ -20,11 +20,12 @@ class, method, instruction index, and mnemonic where known.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bytecode.instructions import Instruction
 from repro.bytecode.opcodes import INVOKE_OPS, Op, OperandKind, VARIABLE
 from repro.classfile.constant_pool import CpMethodRef
+from repro.classfile.members import arg_slot_count, returns_value
 from repro.errors import VerifyError
 
 
@@ -37,7 +38,6 @@ def _stack_effect(ins: Instruction, method, constant_pool,
         return spec.pops, spec.pushes
     if ins.op in INVOKE_OPS:
         entry = constant_pool.get_typed(ins.operand, CpMethodRef)
-        from repro.classfile.members import arg_slot_count, returns_value
         pops = arg_slot_count(entry.descriptor)
         if ins.op in (Op.INVOKEVIRTUAL, Op.INVOKESPECIAL):
             pops += 1
@@ -110,60 +110,40 @@ def verify_method(method, constant_pool,
             fail(f"bad exception-table range [{entry.start}, {entry.end})")
 
     # stack dataflow ---------------------------------------------------------
-    depth_at: Dict[int, int] = {0: 0}
-    worklist: List[int] = [0]
+    # (imported here: repro.analysis imports this module)
+    from repro.analysis.cfg import solve_forward
+
+    entries: Dict[int, int] = {0: 0}
     for entry in method.exception_table:
-        if entry.handler not in depth_at:
-            depth_at[entry.handler] = 1
-            worklist.append(entry.handler)
+        entries.setdefault(entry.handler, 1)
     max_depth = 1 if method.exception_table else 0
 
-    def flow_to(target: int, depth: int, pc=None):
-        known = depth_at.get(target)
-        if known is None:
-            depth_at[target] = depth
-            worklist.append(target)
-        elif known != depth:
+    def transfer(pc: int, depth: int):
+        nonlocal max_depth
+        ins = code[pc]
+        pops, pushes = _stack_effect(ins, method, constant_pool,
+                                     pc=pc, class_name=class_name)
+        if depth < pops:
+            fail(f"stack underflow ({ins.spec.mnemonic}: needs "
+                 f"{pops}, have {depth})", pc=pc,
+                 mnemonic=ins.spec.mnemonic)
+        depth = depth - pops + pushes
+        if depth > max_depth:
+            max_depth = depth
+        if ins.spec.operand is OperandKind.LABEL:
+            yield ins.operand, depth
+        if not ins.spec.ends_block:
+            # the last instruction ends a block (checked above), so
+            # fall-through stays inside the code
+            yield pc + 1, depth
+
+    def join(target: int, known: int, depth: int, pc: int) -> int:
+        if known != depth:
             fail(f"inconsistent stack depth at pc {target} "
                  f"({known} vs {depth})", pc=pc)
+        return known
 
-    visited = set()
-    while worklist:
-        pc = worklist.pop()
-        if pc in visited:
-            continue
-        visited.add(pc)
-        depth = depth_at[pc]
-        while True:
-            ins = code[pc]
-            pops, pushes = _stack_effect(ins, method, constant_pool,
-                                         pc=pc, class_name=class_name)
-            if depth < pops:
-                fail(f"stack underflow ({ins.spec.mnemonic}: needs "
-                     f"{pops}, have {depth})", pc=pc,
-                     mnemonic=ins.spec.mnemonic)
-            depth = depth - pops + pushes
-            if depth > max_depth:
-                max_depth = depth
-            if ins.spec.operand is OperandKind.LABEL:
-                flow_to(ins.operand, depth, pc=pc)
-            if ins.spec.ends_block:
-                break
-            next_pc = pc + 1
-            if next_pc >= n:
-                fail("control falls off the end of the method", pc=pc)
-            # fall through to the next instruction
-            known = depth_at.get(next_pc)
-            if known is None:
-                depth_at[next_pc] = depth
-            elif known != depth:
-                fail(f"inconsistent stack depth at pc {next_pc} "
-                     f"({known} vs {depth})", pc=pc)
-            if next_pc in visited:
-                break
-            visited.add(next_pc)
-            pc = next_pc
-
+    solve_forward(entries, transfer, join)
     return max_depth
 
 

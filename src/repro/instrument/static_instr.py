@@ -69,19 +69,23 @@ class StaticInstrumenter:
 #
 # Instrumentation is pure: (archive bytes, config) fully determine the
 # output.  The harness instruments the same runtime + workload archives
-# for every profiled run (and for every repetition when runs > 1), so
-# repeating the work only burns host time.  Entries pin the input
-# archives, which keeps their ids stable for the key's lifetime.
+# for every profiled run (and for every repetition when runs > 1), each
+# time from freshly built archive objects, so the memo keys on archive
+# content — class names and bytes — rather than on object identity.
 
 _ARCHIVE_CACHE: Dict[tuple, Tuple[List[ClassArchive],
-                                  InstrumentationStats,
-                                  List[ClassArchive]]] = {}
+                                  InstrumentationStats]] = {}
 _ARCHIVE_CACHE_MAX = 64
 
 
 def _config_key(config) -> tuple:
     return (config.prefix, config.runtime_class, config.begin_method,
             config.end_method, tuple(config.excluded_classes))
+
+
+def _archive_key(archive: ClassArchive) -> tuple:
+    return tuple((name, archive.get_bytes(name))
+                 for name in archive.names())
 
 
 def instrument_archives_cached(
@@ -95,13 +99,13 @@ def instrument_archives_cached(
     loading already does).
     """
     config = config or InstrumentationConfig()
-    key = (tuple(id(a) for a in archives), _config_key(config))
+    key = (tuple(_archive_key(a) for a in archives), _config_key(config))
     hit = _ARCHIVE_CACHE.get(key)
-    if hit is not None and all(a is b for a, b in zip(hit[2], archives)):
+    if hit is not None:
         return list(hit[0]), hit[1]
     instrumenter = StaticInstrumenter(config)
     result = instrumenter.instrument_archives(archives)
     if len(_ARCHIVE_CACHE) >= _ARCHIVE_CACHE_MAX:
         _ARCHIVE_CACHE.clear()
-    _ARCHIVE_CACHE[key] = (result, instrumenter.stats, list(archives))
+    _ARCHIVE_CACHE[key] = (result, instrumenter.stats)
     return list(result), instrumenter.stats

@@ -54,9 +54,10 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
+from repro.analysis.cfg import solve_forward
 from repro.bytecode.opcodes import ArrayKind, Op, SPECS
+from repro.bytecode.verifier import _stack_effect
 from repro.classfile.constant_pool import CpMethodRef
-from repro.classfile.members import arg_slot_count, returns_value
 from repro.errors import DeadlockError, NoSuchFieldError
 from repro.jit.fusion import plan_fusion
 from repro.jvm.costmodel import ChargeTag
@@ -209,46 +210,35 @@ def _translate(method, vm, policy, exclude_ops):
     # Handler-reachable-only code is *not* translated: a frame resuming
     # at a handler has a non-empty stack and pc != 0, so the tier
     # dispatch never hands it to the template.
-    depth_at = [-1] * n_ins
     deopt_only = [False] * n_ins
-    invoke_effect = {}
-    work = [(0, 0)]
-    while work:
-        pc, d = work.pop()
+
+    def transfer(pc, d):
         if pc < 0 or pc >= n_ins:
             raise _Bail("fall_off_end")
-        known = depth_at[pc]
-        if known >= 0:
-            if known != d:
-                raise _Bail("stack_inconsistent")
-            continue
-        depth_at[pc] = d
         op = ops[pc]
         if op in exclude_ops or op not in _SUPPORTED:
             deopt_only[pc] = True
-            continue  # terminal in the template: no successors
-        if 0x90 <= op <= 0x92:  # INVOKE family: effect from the cp ref
-            ref = cp.get_typed(operands[pc], CpMethodRef)
-            np = arg_slot_count(ref.descriptor) \
-                + (0 if op == _INVOKESTATIC else 1)
-            rv = returns_value(ref.descriptor)
-            invoke_effect[pc] = (np, rv, ref)
-            pops, pushes = np, (1 if rv else 0)
-        else:
-            spec = SPECS[Op(op)]
-            pops, pushes = spec.pops, spec.pushes
+            return  # terminal in the template: no successors
+        pops, pushes = _stack_effect(code[pc], info, cp)
         if d < pops:
             raise _Bail("stack_inconsistent")
         nd = d - pops + pushes
         if op == _GOTO:
-            work.append((operands[pc], nd))
+            yield operands[pc], nd
         elif 0x50 <= op <= 0x60:
-            work.append((operands[pc], nd))
-            work.append((pc + 1, nd))
-        elif 0x93 <= op <= 0x95 or op == _ATHROW:
-            pass
-        else:
-            work.append((pc + 1, nd))
+            yield operands[pc], nd
+            yield pc + 1, nd
+        elif not (0x93 <= op <= 0x95 or op == _ATHROW):
+            yield pc + 1, nd
+
+    def join(pc, known, d, src):
+        if known != d:
+            raise _Bail("stack_inconsistent")
+        return known
+
+    depth_at = [-1] * n_ins
+    for pc, d in solve_forward({0: 0}, transfer, join).items():
+        depth_at[pc] = d  # in range: an out-of-range pc bails when popped
 
     # -- block structure: targets of reachable branches start blocks
     targets = set()
@@ -829,7 +819,8 @@ def _translate(method, vm, policy, exclude_ops):
                    "_e, p, n)")
             return False
         elif 0x90 <= op <= 0x92:  # INVOKE family
-            np, rv, ref = invoke_effect[pc]
+            np, pushes = _stack_effect(ins, info, cp)
+            ref = cp.get_typed(operands[pc], CpMethodRef)
             q = ins.quick
             if q is None:
                 cold_guard(pc, d, cost)
@@ -894,7 +885,7 @@ def _translate(method, vm, policy, exclude_ops):
             out(3, "_res = interp._run(thread, len(frames) - 1)")
             out(2, "except Unwind as _u:")
             out(3, "return (2, _u.jobject)")
-            if rv:
+            if pushes:
                 out(0, f"s{d - np} = _res")
         else:  # pragma: no cover - _SUPPORTED is exhaustive over Op
             raise _Bail(f"unsupported_op:0x{op:02x}")

@@ -1,11 +1,14 @@
 """Golden-file regression for the paper's tables, plus observability
 parity.
 
-Two guarantees pinned here:
+Three guarantees pinned here:
 
 * ``repro table1`` / ``repro table2`` reproduce ``results/table*.txt``
   byte-for-byte (the simulator is deterministic; any drift is a
   regression or an intentional change that must refresh the goldens);
+* ``repro analyze --races --suite --format json`` reproduces
+  ``results/analyze_suite.json`` byte-for-byte, pinning every typed,
+  monitor, flow and lockset finding and their order;
 * the rendered tables are identical with observability enabled or
   disabled, serially and under ``--jobs 4`` — the zero-perturbation
   rule, end to end.
@@ -34,6 +37,12 @@ class TestGoldenFiles:
         assert main(["table2"]) == 0
         out = capsys.readouterr().out
         assert out == (RESULTS / "table2.txt").read_text()
+
+    def test_analyze_suite_matches_golden(self, capsys):
+        assert main(["analyze", "--races", "--suite", "--no-ledger",
+                     "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == (RESULTS / "analyze_suite.json").read_text()
 
 
 class TestObservabilityParity:

@@ -9,7 +9,10 @@ from repro.bytecode.verifier import verify_class
 from repro.classfile.members import ACC_NATIVE
 from repro.classfile.serializer import dump_class, load_class
 from repro.errors import InstrumentationError
-from repro.instrument.static_instr import StaticInstrumenter
+from repro.instrument.static_instr import (
+    StaticInstrumenter,
+    instrument_archives_cached,
+)
 from repro.instrument.wrapper_gen import (
     InstrumentationConfig,
     instrument_classfile,
@@ -125,6 +128,20 @@ class TestStaticInstrumenter:
         assert instrumenter.stats.methods_wrapped > 30
         for cf in out.classes():
             verify_class(cf)
+
+    def test_memo_hits_on_rebuilt_archives(self):
+        # every IPA cell rebuilds its workload: equal content must hit
+        # the memo even though the archive objects differ
+        from repro.launcher import runtime_archive
+        from repro.workloads import get_workload
+
+        first = [runtime_archive(), get_workload("db").archive]
+        second = [runtime_archive(), get_workload("db").archive]
+        assert first[1] is not second[1]
+        out1, stats1 = instrument_archives_cached(first)
+        out2, stats2 = instrument_archives_cached(second)
+        assert stats1 is stats2
+        assert all(a is b for a, b in zip(out1, out2))
 
     def test_serialized_roundtrip_of_instrumented_class(self):
         instrumenter = StaticInstrumenter()

@@ -517,6 +517,49 @@ class TestDeopt:
             "big", "(I)I")
         assert method.compiled and method.template is None
 
+    @pytest.mark.parametrize("reason", ["stack_inconsistent",
+                                        "fall_off_end"])
+    def test_translator_dataflow_bailout_is_counted(self, reason):
+        # unverified code whose bad path is never taken at run time:
+        # the interpreter runs it, the translator's own depth dataflow
+        # (which explores every path) must bail with the named reason
+        c = ClassAssembler("tt.Bad")
+        with c.method("f", "(I)I", static=True) as m:
+            m.iload(0).ifeq("bad")
+            m.iconst(1)
+            if reason == "stack_inconsistent":
+                m.goto("join")
+                m.label("bad")
+                m.iconst(2).iconst(3)  # reaches "join" one deeper
+                m.label("join")
+                m.ireturn()
+            else:
+                m.ireturn()
+                m.label("bad")
+                m.iconst(2)  # last instruction: falls off the end
+
+        def body(m):
+            m.iconst(0).istore(0)
+            m.iconst(0).istore(1)
+            m.label("t")
+            m.iload(1).ldc(20).if_icmpge("e")
+            m.iconst(1).invokestatic("tt.Bad", "f", "(I)I")
+            m.iload(0).iadd().istore(0)
+            m.iinc(1, 1).goto("t")
+            m.label("e")
+            m.iload(0)
+
+        archive = build_app(expr_main("tt.BadM", body))
+        archive.put_class(c.build(verify=False))
+        vm = create_vm(VMConfig(verify="off", jit_policy=JitPolicy(
+            template_tier=True, **HOT)))
+        run_main(archive, "tt.BadM", vm=vm)
+        assert vm.console[-1] == "20"
+        assert vm.jit.template_bailouts.get(reason, 0) >= 1
+        method = vm.loader.loaded_class("tt.Bad").find_declared(
+            "f", "(I)I")
+        assert method.compiled and method.template is None
+
 
 class TestJvmtiInteraction:
     def test_method_event_veto_blocks_templates(self):
