@@ -45,7 +45,7 @@ class SamplingProfiler:
 
     def install(self, vm) -> None:
         """Hook every thread's charge path (the OS timer, in effect)."""
-        vm.threads.samplers.append(self)
+        vm.threads.add_sampler(self)
 
     def on_charge(self, thread, cycles: int, tag: ChargeTag) -> int:
         """Called by the thread accounting path; returns extra cycles

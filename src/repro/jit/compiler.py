@@ -17,13 +17,15 @@ class JitCompiler:
     agent holds the ``can_generate_method_entry_events`` /
     ``can_generate_method_exit_events`` capabilities, compilation is off
     for the whole run — the behaviour the paper observed on HotSpot and
-    the root cause of SPA's overhead.
+    the root cause of SPA's overhead.  A plain attribute (cleared by
+    :meth:`veto`): the interpreter reads it per uncompiled call.
     """
 
     def __init__(self, vm, policy: JitPolicy):
         self._vm = vm
         self.policy = policy
         self._vetoed = False
+        self.enabled = policy.enabled
         self.methods_compiled: List = []
         # template tier (second execution tier) state
         self.code_cache = TemplateCodeCache()
@@ -39,10 +41,6 @@ class JitCompiler:
         self.template_deopts: Dict[str, int] = {}
 
     @property
-    def enabled(self) -> bool:
-        return self.policy.enabled and not self._vetoed
-
-    @property
     def vetoed(self) -> bool:
         return self._vetoed
 
@@ -51,6 +49,7 @@ class JitCompiler:
         events requested)."""
         self._vetoed = True
         self._veto_reason = reason
+        self.enabled = False
 
     def compile(self, thread, method) -> None:
         """Compile ``method``: charge VM cycles and swap its cost array."""

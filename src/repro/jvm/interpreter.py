@@ -241,14 +241,14 @@ class Interpreter:
                 f"simulated stack overflow in {method.qualified_name}")
         method.invocation_count += 1
         jit = vm.jit
-        # cheapest test first: hot methods are compiled, which skips
-        # the jit.enabled property call on the dominant path
+        # cheapest test first: hot methods are compiled
         if (not method.compiled
                 and method.invocation_count >= jit.policy.invoke_threshold
                 and jit.enabled):
             jit.compile(thread, method)
-        if vm.jvmti.method_entry_enabled:
-            vm.jvmti.dispatch_method_entry(thread, method)
+        jvmti = vm.jvmti
+        if jvmti.method_entry_enabled:
+            jvmti.dispatch_method_entry(thread, method)
         thread.frames.append(Frame(method, args))
         vm.method_invocations += 1
 
@@ -414,6 +414,7 @@ class Interpreter:
         loader = vm.loader
         heap = vm.heap
         jit = vm.jit
+        jvmti = vm.jvmti
         frames = thread.frames
         charge = thread.charge
         tag_bytecode = ChargeTag.BYTECODE
@@ -743,8 +744,9 @@ class Interpreter:
                         if icount:
                             vm.instructions_retired += icount
                             icount = 0
-                        self._exit_method_event(thread, method,
-                                                by_exception=False)
+                        if jvmti.method_exit_enabled:
+                            jvmti.dispatch_method_exit(thread, method,
+                                                       False)
                         frames.pop()
                         if len(frames) == base:
                             return result

@@ -84,21 +84,13 @@ class SimThread:
         #: Ground truth: blocked cycles by device name.
         self.blocked_by_device: Dict[str, int] = {}
         #: Host-side PC samplers (shared list owned by ThreadManager);
-        #: empty in normal runs — see repro.agents.sampling.
+        #: read only by :class:`SampledThread`.
         self._samplers = samplers if samplers is not None else []
 
     def charge(self, cycles: int, tag: ChargeTag) -> None:
         """Consume ``cycles`` on this thread, tagged with ground truth."""
         self.cycles_total += cycles
         self.cycles_by_tag[tag] += cycles
-        if self._samplers:
-            for sampler in self._samplers:
-                extra = sampler.on_charge(self, cycles, tag)
-                if extra:
-                    # interrupt handling itself: VM time, applied
-                    # directly so it cannot re-trigger sampling
-                    self.cycles_total += extra
-                    self.cycles_by_tag[ChargeTag.VM] += extra
 
     def block(self, cycles: int, device: str) -> None:
         """Account ``cycles`` of off-CPU time blocked on ``device``.
@@ -126,6 +118,22 @@ class SimThread:
                 f"{self.state.value} cycles={self.cycles_total}>")
 
 
+class SampledThread(SimThread):
+    """A thread whose charges also drive the PC samplers.  Each goes
+    through ``SimThread.charge`` first, so its class-level wrappers
+    still see every charge."""
+
+    def charge(self, cycles: int, tag: ChargeTag) -> None:
+        SimThread.charge(self, cycles, tag)
+        for sampler in self._samplers:
+            extra = sampler.on_charge(self, cycles, tag)
+            if extra:
+                # interrupt handling itself: VM time, applied directly
+                # so it cannot re-trigger sampling
+                self.cycles_total += extra
+                self.cycles_by_tag[ChargeTag.VM] += extra
+
+
 class ThreadManager:
     """Registry and run queue for simulated threads."""
 
@@ -142,13 +150,21 @@ class ThreadManager:
         self.samplers: List = []
 
     def create(self, name: str, java_object=None) -> SimThread:
-        thread = SimThread(self._next_id, name, java_object,
-                           samplers=self.samplers)
+        cls = SampledThread if self.samplers else SimThread
+        thread = cls(self._next_id, name, java_object,
+                     samplers=self.samplers)
         self._next_id += 1
         self._threads.append(thread)
         if java_object is not None:
             self._by_java_object[id(java_object)] = thread
         return thread
+
+    def add_sampler(self, sampler) -> None:
+        """Sample every thread, existing ones too (a running dispatch
+        loop keeps the charge it bound on entry until it returns)."""
+        self.samplers.append(sampler)
+        for thread in self._threads:
+            thread.__class__ = SampledThread
 
     def enqueue(self, thread: SimThread) -> None:
         """Queue a NEW thread for execution (``Thread.start``)."""

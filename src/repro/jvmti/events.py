@@ -17,3 +17,6 @@ class JvmtiEvent(enum.Enum):
     METHOD_ENTRY = "MethodEntry"
     METHOD_EXIT = "MethodExit"
     CLASS_FILE_LOAD_HOOK = "ClassFileLoadHook"
+
+    # singletons: identity hashing is exact and C-fast (as ChargeTag)
+    __hash__ = object.__hash__

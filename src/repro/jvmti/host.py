@@ -24,6 +24,11 @@ from repro.jvmti.events import JvmtiEvent
 from repro.jvmti.raw_monitor import RawMonitor
 from repro.jvmti.tls import ThreadLocalStorage
 
+_AGENT = ChargeTag.AGENT
+_METHOD_ENTRY = JvmtiEvent.METHOD_ENTRY
+_METHOD_EXIT = JvmtiEvent.METHOD_EXIT
+_CLASS_FILE_LOAD_HOOK = JvmtiEvent.CLASS_FILE_LOAD_HOOK
+
 JVMTI_VERSION_1_0 = (1, 0)
 JVMTI_VERSION_1_1 = (1, 1)
 
@@ -67,6 +72,7 @@ class JVMTIAgentEnv:
         * CLASS_FILE_LOAD_HOOK: ``fn(env, name, data) -> bytes | None``
         """
         self.callbacks.update(callbacks)
+        self._host.refresh_event_flags()
 
     def enable_event(self, event: JvmtiEvent) -> None:
         """``SetEventNotificationMode(ENABLE, ...)``."""
@@ -96,9 +102,9 @@ class JVMTIAgentEnv:
 
     def tls_get(self, thread=None):
         """``GetThreadLocalStorage`` (``None`` = current thread)."""
-        thread = self._resolve_thread(thread)
-        thread.charge(self._host.vm.cost_model.jvmti_tls_access,
-                      ChargeTag.AGENT)
+        if thread is None:
+            thread = self._resolve_thread(None)
+        thread.charge(self._host.vm.cost_model.jvmti_tls_access, _AGENT)
         return self.tls.get(thread)
 
     def tls_put(self, thread, value) -> None:
@@ -157,7 +163,9 @@ class JVMTIAgentEnv:
 
     def charge(self, cycles: int, thread=None) -> None:
         """Charge agent work to a thread (default: current)."""
-        self._resolve_thread(thread).charge(cycles, ChargeTag.AGENT)
+        if thread is None:
+            thread = self._resolve_thread(None)
+        thread.charge(cycles, _AGENT)
 
     # -- host-library access -------------------------------------------------------------------------
 
@@ -191,15 +199,24 @@ class JVMTIHost:
         self.version = version
         self.agent_envs: List[JVMTIAgentEnv] = []
         self.native_method_prefixes: List[str] = []
+        #: event -> ``((env, callback), ...)`` in attach order, rebuilt
+        #: by :meth:`refresh_event_flags`; delivery tests nothing else.
+        self._targets = dict.fromkeys(JvmtiEvent, ())
         # precomputed fast-path flags (the interpreter checks these on
         # every method entry/exit)
         self.method_entry_enabled = False
         self.method_exit_enabled = False
-        self._class_hook_enabled = False
-        self.events_dispatched = 0
-        #: Host-side per-event-type delivery counts (observability
-        #: metrics source; maintaining them charges no simulated time).
-        self.dispatch_counts: Dict[str, int] = {}
+        #: Host-side deliveries per event (charges no simulated time).
+        self._counts = dict.fromkeys(JvmtiEvent, 0)
+
+    @property
+    def events_dispatched(self) -> int:
+        return sum(self._counts.values())
+
+    @property
+    def dispatch_counts(self) -> Dict[str, int]:
+        """Nonzero counts by event name, copied (a metrics source)."""
+        return {event.name: n for event, n in self._counts.items() if n}
 
     def attach(self, agent) -> JVMTIAgentEnv:
         env = JVMTIAgentEnv(self, agent)
@@ -207,27 +224,24 @@ class JVMTIHost:
         return env
 
     def refresh_event_flags(self) -> None:
-        def any_enabled(event):
-            return any(event in env.enabled_events
-                       for env in self.agent_envs)
-
-        self.method_entry_enabled = any_enabled(JvmtiEvent.METHOD_ENTRY)
-        self.method_exit_enabled = any_enabled(JvmtiEvent.METHOD_EXIT)
-        self._class_hook_enabled = any_enabled(
-            JvmtiEvent.CLASS_FILE_LOAD_HOOK)
+        """Rebuild the delivery tuples and the flags derived from them."""
+        self._targets = targets = {
+            event: tuple((env, env.callbacks[event])
+                         for env in self.agent_envs
+                         if event in env.enabled_events)
+            for event in JvmtiEvent}
+        self.method_entry_enabled = bool(targets[_METHOD_ENTRY])
+        self.method_exit_enabled = bool(targets[_METHOD_EXIT])
 
     # -- dispatch -------------------------------------------------------------
 
     def _deliver(self, event: JvmtiEvent, thread, *args):
         dispatch_cost = self.vm.cost_model.jvmti_event_dispatch
-        counts = self.dispatch_counts
-        for env in self.agent_envs:
-            if event in env.enabled_events:
-                if thread is not None:
-                    thread.charge(dispatch_cost, ChargeTag.AGENT)
-                self.events_dispatched += 1
-                counts[event.name] = counts.get(event.name, 0) + 1
-                env.callbacks[event](env, *args)
+        for env, callback in self._targets[event]:
+            if thread is not None:
+                thread.charge(dispatch_cost, _AGENT)
+            self._counts[event] += 1
+            callback(env, *args)
 
     def dispatch_vm_init(self) -> None:
         self._deliver(JvmtiEvent.VM_INIT, self.vm.threads.current)
@@ -241,36 +255,40 @@ class JVMTIHost:
     def dispatch_thread_end(self, thread) -> None:
         self._deliver(JvmtiEvent.THREAD_END, thread, thread)
 
+    # method events inline _deliver: one per call, always on a thread
     def dispatch_method_entry(self, thread, method) -> None:
-        self._deliver(JvmtiEvent.METHOD_ENTRY, thread, thread, method)
+        dispatch_cost = self.vm.cost_model.jvmti_event_dispatch
+        for env, callback in self._targets[_METHOD_ENTRY]:
+            thread.charge(dispatch_cost, _AGENT)
+            self._counts[_METHOD_ENTRY] += 1
+            callback(env, thread, method)
 
     def dispatch_method_exit(self, thread, method,
                              by_exception: bool) -> None:
-        self._deliver(JvmtiEvent.METHOD_EXIT, thread, thread, method,
-                      by_exception)
+        dispatch_cost = self.vm.cost_model.jvmti_event_dispatch
+        for env, callback in self._targets[_METHOD_EXIT]:
+            thread.charge(dispatch_cost, _AGENT)
+            self._counts[_METHOD_EXIT] += 1
+            callback(env, thread, method, by_exception)
 
     def dispatch_class_file_load_hook(self, name: str,
                                       data: bytes) -> Optional[bytes]:
         """Offer class bytes to agents; returns transformed bytes or
         ``None`` if unchanged.  Agents chain: each sees the previous
         agent's output."""
-        if not self._class_hook_enabled:
+        targets = self._targets[_CLASS_FILE_LOAD_HOOK]
+        if not targets:
             return None
         current = data
         changed = False
         thread = self.vm.threads.current
         dispatch_cost = self.vm.cost_model.jvmti_event_dispatch
-        for env in self.agent_envs:
-            if JvmtiEvent.CLASS_FILE_LOAD_HOOK in env.enabled_events:
-                if thread is not None:
-                    thread.charge(dispatch_cost, ChargeTag.AGENT)
-                self.events_dispatched += 1
-                event_name = JvmtiEvent.CLASS_FILE_LOAD_HOOK.name
-                self.dispatch_counts[event_name] = \
-                    self.dispatch_counts.get(event_name, 0) + 1
-                result = env.callbacks[JvmtiEvent.CLASS_FILE_LOAD_HOOK](
-                    env, name, current)
-                if result is not None:
-                    current = result
-                    changed = True
+        for env, callback in targets:
+            if thread is not None:
+                thread.charge(dispatch_cost, _AGENT)
+            self._counts[_CLASS_FILE_LOAD_HOOK] += 1
+            result = callback(env, name, current)
+            if result is not None:
+                current = result
+                changed = True
         return current if changed else None

@@ -150,3 +150,39 @@ class TestPolicyCopy:
         dup = policy.copy()
         for name, value in overrides.items():
             assert getattr(dup, name) == value, name
+
+
+class TestEnabledFlag:
+    def test_veto_clears_enabled(self):
+        from repro.launcher import create_vm
+
+        jit = create_vm().jit
+        assert jit.enabled and not jit.vetoed
+        jit.veto("test")
+        assert jit.enabled is False
+        assert jit.vetoed is True
+
+    def test_disabled_policy_starts_disabled(self):
+        from repro.launcher import create_vm
+
+        jit = create_vm(VMConfig(jit_policy=JitPolicy(
+            enabled=False))).jit
+        assert jit.enabled is False
+        assert not jit.vetoed
+
+    def test_vetoed_run_translates_nothing_and_never_osrs(self):
+        from repro.launcher import create_vm
+
+        # low thresholds: the same run without the veto translates
+        # templates and enters one mid-loop (the control below)
+        policy = dict(invoke_threshold=5, backedge_threshold=50)
+        control = _run(500, JitPolicy(**policy))
+        assert control.jit.templates_translated > 0
+        assert control.jit.osr_entries > 0
+        vm = create_vm(VMConfig(jit_policy=JitPolicy(**policy)))
+        vm.jit.veto("test")
+        run_main(_hot_program(500), "jit.Main", vm=vm)
+        assert vm.jit.compile_count == 0
+        assert vm.jit.templates_translated == 0
+        assert vm.jit.osr_entries == 0
+        assert vm.jit.template_entries == 0

@@ -281,3 +281,136 @@ class TestInterception:
         vm.launch("ic.Main")
         # the launcher enters main through CallStaticVoidMethod
         assert "CallStaticVoidMethod" in seen
+
+
+_METHOD_CAPS = Capabilities(can_generate_method_entry_events=True,
+                            can_generate_method_exit_events=True)
+
+
+class TestDispatchTargets:
+    """Delivery iterates per-event (env, callback) tuples built when an
+    agent changes its callbacks or enabled events; these pin the JVMTI
+    semantics that prebuilding must keep."""
+
+    def test_callbacks_set_after_enable_are_delivered(self):
+        class Swapper(AgentBase):
+            def on_load(self, env):
+                super().on_load(env)
+                self.old, self.new = [], []
+                env.set_event_callbacks(
+                    {JvmtiEvent.VM_DEATH: lambda e: self.old.append(1)})
+                env.enable_event(JvmtiEvent.VM_DEATH)
+                env.set_event_callbacks(
+                    {JvmtiEvent.VM_DEATH: lambda e: self.new.append(1)})
+
+        agent = Swapper()
+        run_main(_simple_app("sw.Main"), "sw.Main", agents=[agent])
+        assert (agent.old, agent.new) == ([], [1])
+
+    def test_disable_method_entry_mid_run(self):
+        class StopsAfterThree(AgentBase):
+            def on_load(self, env):
+                super().on_load(env)
+                self.entries = 0
+                self.exits = 0
+                env.add_capabilities(_METHOD_CAPS)
+                env.set_event_callbacks({
+                    JvmtiEvent.METHOD_ENTRY: self.entry,
+                    JvmtiEvent.METHOD_EXIT: self.exit,
+                })
+                env.enable_event(JvmtiEvent.METHOD_ENTRY)
+                env.enable_event(JvmtiEvent.METHOD_EXIT)
+
+            def entry(self, env, thread, method):
+                self.entries += 1
+                if self.entries == 3:
+                    env.disable_event(JvmtiEvent.METHOD_ENTRY)
+
+            def exit(self, env, thread, method, by_exception):
+                self.exits += 1
+
+        agent = StopsAfterThree()
+        vm = run_main(_simple_app("dis.Main"), "dis.Main",
+                      agents=[agent])
+        assert agent.entries == 3
+        assert agent.exits > 3
+        assert vm.jvmti.method_entry_enabled is False
+        assert vm.jvmti.method_exit_enabled is True
+        assert vm.jvmti.dispatch_counts["METHOD_ENTRY"] == 3
+        assert vm.jvmti.dispatch_counts["METHOD_EXIT"] == agent.exits
+
+    def test_agents_receive_in_attach_order_each_charged(
+            self, monkeypatch):
+        from repro.jvm.costmodel import ChargeTag
+        from repro.jvm.threads import SimThread
+
+        log = []
+        original = SimThread.charge
+
+        def spy(thread, cycles, tag):
+            if tag is ChargeTag.AGENT:
+                log.append(("charge", cycles))
+            original(thread, cycles, tag)
+
+        class Logger(AgentBase):
+            def __init__(self, name):
+                super().__init__()
+                self.name = name
+
+            def on_load(self, env):
+                super().on_load(env)
+                env.add_capabilities(_METHOD_CAPS)
+                env.set_event_callbacks({
+                    JvmtiEvent.METHOD_ENTRY:
+                        lambda e, t, m: log.append((self.name, "entry")),
+                    JvmtiEvent.METHOD_EXIT:
+                        lambda e, t, m, x: log.append((self.name, "exit")),
+                })
+                env.enable_event(JvmtiEvent.METHOD_ENTRY)
+                env.enable_event(JvmtiEvent.METHOD_EXIT)
+
+        monkeypatch.setattr(SimThread, "charge", spy)
+        vm = create_vm()
+        cost = vm.cost_model.jvmti_event_dispatch
+        run_main(_simple_app("ord.Main"), "ord.Main", vm=vm,
+                 agents=[Logger("first"), Logger("second")])
+        # the loggers charge nothing themselves, so every AGENT charge
+        # is a delivery's dispatch cost
+        events = vm.jvmti.dispatch_counts
+        deliveries = events["METHOD_ENTRY"] + events["METHOD_EXIT"]
+        assert deliveries > 0 and deliveries % 2 == 0
+        assert len(log) == 2 * deliveries
+        for i in range(0, len(log), 4):
+            charge_a, (first, kind), charge_b, (second, kind_b) = \
+                log[i:i + 4]
+            assert charge_a == charge_b == ("charge", cost)
+            assert (first, second) == ("first", "second")
+            assert kind == kind_b
+
+    def test_events_dispatched_is_sum_of_counts(self):
+        agent = RecordingAgent(
+            events=[JvmtiEvent.VM_INIT, JvmtiEvent.VM_DEATH,
+                    JvmtiEvent.THREAD_END, JvmtiEvent.METHOD_ENTRY,
+                    JvmtiEvent.METHOD_EXIT], caps=_METHOD_CAPS)
+        vm = run_main(_simple_app("sum.Main"), "sum.Main",
+                      agents=[agent])
+        counts = vm.jvmti.dispatch_counts
+        assert vm.jvmti.events_dispatched == sum(counts.values())
+        assert vm.jvmti.events_dispatched == len(agent.received)
+        assert set(counts) == {"VM_INIT", "VM_DEATH", "THREAD_END",
+                               "METHOD_ENTRY", "METHOD_EXIT"}
+        # a view: writing to it cannot change the host's counts
+        counts["METHOD_ENTRY"] = 0
+        assert vm.jvmti.dispatch_counts["METHOD_ENTRY"] > 0
+
+    def test_spa_method_entries_match_dispatch_count(self):
+        from repro.agents.spa import SPA
+
+        spa = SPA()
+        vm = run_main(_simple_app("spa.Main"), "spa.Main",
+                      agents=[spa])
+        report = spa.report()
+        invocations = (report["java_method_invocations"]
+                       + report["native_method_invocations"])
+        assert report["native_method_invocations"] > 0
+        assert vm.jvmti.dispatch_counts["METHOD_ENTRY"] == invocations

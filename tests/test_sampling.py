@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.agents.sampling import SamplingProfiler
+from repro.agents.sampling import SAMPLE_COST, SamplingProfiler
 from repro.harness.config import AgentSpec, RunConfig
 from repro.harness.runner import execute
+from repro.jvm.costmodel import ChargeTag
+from repro.jvm.threads import SimThread
+from repro.launcher import create_vm
 from repro.workloads import get_workload
 
 from test_agents import MixedWorkload
@@ -70,3 +73,39 @@ class TestSamplingProfiler:
         truth = base.ground_truth_native_fraction * 100
         assert run.sampler_report["percent_native"] == \
             pytest.approx(truth, abs=4.0)
+
+
+class TestSampledThreads:
+    def test_unsampled_threads_are_plain(self):
+        vm = create_vm()
+        assert type(vm.threads.create("t")) is SimThread
+
+    def test_sampler_samples_threads_created_before_install(self):
+        vm = create_vm()
+        early = vm.threads.create("early")
+        sampler = SamplingProfiler(interval=100)
+        sampler.install(vm)
+        late = vm.threads.create("late")
+        for thread in (early, late):
+            thread.charge(250, ChargeTag.BYTECODE)
+            assert thread.cycles_total == 250 + 2 * SAMPLE_COST
+            assert thread.cycles_by_tag[ChargeTag.VM] == 2 * SAMPLE_COST
+        assert sampler.samples_bytecode == 4
+
+    def test_class_level_charge_wrapper_sees_sampled_charges(
+            self, monkeypatch):
+        seen = []
+        original = SimThread.charge
+
+        def spy(thread, cycles, tag):
+            seen.append((thread.name, cycles, tag))
+            original(thread, cycles, tag)
+
+        monkeypatch.setattr(SimThread, "charge", spy)
+        vm = create_vm()
+        SamplingProfiler(interval=100).install(vm)
+        thread = vm.threads.create("t")
+        thread.charge(250, ChargeTag.NATIVE)
+        # the interrupt cost is applied beside charge, not through it
+        assert seen == [("t", 250, ChargeTag.NATIVE)]
+        assert thread.cycles_total == 250 + 2 * SAMPLE_COST
