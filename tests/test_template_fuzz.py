@@ -2,12 +2,15 @@
 
 Seeded :class:`random.Random` generators assemble verifiable bytecode
 from a gadget vocabulary (constants, ALU, masked array accesses,
-forward branches, ``iinc``, statics, helper calls), then run the same
+forward branches, counted loops, ``iinc``, statics, static helper calls
+and virtual calls over 1, 3 or 9 receiver classes), then run the same
 program with the template tier on and off.  Every observable —
 console, total cycles, per-tag ground truth, instructions retired,
 inline-cache statistics, invocation counts, surviving static state —
 must be identical.  A low invoke threshold guarantees the generated
-method actually executes as a template.
+method actually executes as a template; the loops' backward branches
+reach on-stack replacement at their headers, and the virtual call sites
+drive the polymorphic inline cache mono -> poly -> megamorphic.
 """
 
 import random
@@ -25,6 +28,10 @@ from helpers import build_app, expr_main, run_main
 CALLS = 40
 INT_LOCALS = (0, 1, 2, 3)  # local 0 is the int argument
 ARRAY_LOCAL = 4
+RECEIVERS_LOCAL = 5  # fz.V0..fz.V8, one instance each
+CALL_LOCAL = 6       # the argument, never overwritten by gadgets
+LOOP_LOCALS = (7, 8)  # one counter per loop nesting level
+RECEIVER_CLASSES = 9
 
 
 def _helper_class():
@@ -33,6 +40,54 @@ def _helper_class():
     with c.method("mix", "(I)I", static=True) as m:
         m.iload(0).iconst(3).imul().iconst(11).iadd().ireturn()
     return c
+
+
+def _receiver_classes():
+    """fz.V0 and eight subclasses, each overriding ``f(I)I``."""
+    classes = []
+    for k in range(RECEIVER_CLASSES):
+        c = ClassAssembler(f"fz.V{k}",
+                           super_name="fz.V0" if k else "java.lang.Object")
+        with c.method("<init>", "()V") as m:
+            m.return_()
+        with c.method("f", "(I)I") as m:
+            m.iload(1).iconst(k + 2).imul().iconst(k).ixor().ireturn()
+        classes.append(c)
+    return classes
+
+
+def _emit_virtual(rng, m):
+    """invokevirtual over 1, 3 or 9 receiver classes: the receiver index
+    cycles with the call number, so a 3-class site goes polymorphic and
+    a 9-class site megamorphic."""
+    k = rng.choice((1, 3, RECEIVER_CLASSES))
+    m.aload(RECEIVERS_LOCAL)
+    m.iload(CALL_LOCAL).iconst(rng.randrange(0, 9)).iadd()
+    m.iconst(k).irem().aaload()
+    m.iload(rng.choice(INT_LOCALS))
+    m.invokevirtual("fz.V0", "f", "(I)I")
+    m.istore(rng.choice(INT_LOCALS))
+
+
+def _emit_loop(rng, m, labels, depth):
+    """A counted loop whose backward branch is a ``goto`` (top-tested)
+    or a conditional branch (bottom-tested)."""
+    counter = LOOP_LOCALS[depth]
+    top = f"L{next(labels)}"
+    m.iconst(rng.randrange(2, 12)).istore(counter)
+    if rng.randrange(2):
+        done = f"L{next(labels)}"
+        m.label(top)
+        m.iload(counter).ifle(done)
+        for _ in range(rng.randrange(1, 4)):
+            _emit_gadget(rng, m, labels, depth + 1)
+        m.iinc(counter, -1).goto(top)
+        m.label(done)
+    else:
+        m.label(top)
+        for _ in range(rng.randrange(1, 4)):
+            _emit_gadget(rng, m, labels, depth + 1)
+        m.iinc(counter, -1).iload(counter).ifgt(top)
 
 
 def _emit_simple(rng, m, labels):
@@ -77,8 +132,12 @@ def _emit_simple(rng, m, labels):
 
 
 def _emit_gadget(rng, m, labels, depth=0):
-    roll = rng.randrange(10)
-    if roll == 8 and depth < 2:
+    roll = rng.randrange(12)
+    if roll == 10 and depth < len(LOOP_LOCALS):
+        _emit_loop(rng, m, labels, depth)
+    elif roll == 11:
+        _emit_virtual(rng, m)
+    elif roll == 8 and depth < 2:
         # forward branch over a small block: both arms stack-empty
         skip = f"L{next(labels)}"
         cond = rng.choice(("ifeq", "ifne", "iflt", "ifge", "if_icmplt",
@@ -109,6 +168,12 @@ def _generated_app(seed: int):
         m.iload(0).iconst(5).imul().istore(2)
         m.iconst(0).istore(3)
         m.iconst(8).newarray(ArrayKind.INT).astore(ARRAY_LOCAL)
+        m.iload(0).istore(CALL_LOCAL)
+        m.iconst(RECEIVER_CLASSES).newarray(ArrayKind.REF)
+        m.astore(RECEIVERS_LOCAL)
+        for k in range(RECEIVER_CLASSES):
+            m.aload(RECEIVERS_LOCAL).iconst(k).new(f"fz.V{k}").dup()
+            m.invokespecial(f"fz.V{k}", "<init>", "()V").aastore()
         for _ in range(rng.randrange(12, 25)):
             _emit_gadget(rng, m, labels)
         # epilogue: fold every int local into the result
@@ -126,7 +191,8 @@ def _generated_app(seed: int):
         m.label("e")
         m.iload(0)
 
-    return build_app(_helper_class(), g, expr_main("fz.Main", body))
+    return build_app(_helper_class(), *_receiver_classes(), g,
+                     expr_main("fz.Main", body))
 
 
 def _run(seed: int, tier: bool):
@@ -167,6 +233,18 @@ def test_differential_parity(seed):
     if method.template is None:
         assert templated.jit.template_bailouts or \
             templated.jit.template_deopts
+
+
+def test_gadgets_reach_osr_and_every_pic_state():
+    # the loop gadgets must put live frames through on-stack
+    # replacement, and the virtual gadgets must drive call sites through
+    # every inline-cache transition, or the parity above proves nothing
+    # about those paths
+    vms = [_run(seed, True) for seed in range(8)]
+    assert sum(vm.jit.osr_entries for vm in vms) > 0
+    assert sum(vm.pic_mono_to_poly for vm in vms) > 0
+    assert sum(vm.pic_poly_to_mega for vm in vms) > 0
+    assert sum(vm.pic_megamorphic for vm in vms) > 0
 
 
 def test_seeds_are_not_degenerate():
