@@ -24,10 +24,11 @@ to instruction indices when the method is finished.
 
 from __future__ import annotations
 
+import keyword
 from typing import Dict, List, Optional, Union
 
 from repro.bytecode.instructions import ExceptionEntry, Instruction
-from repro.bytecode.opcodes import ArrayKind, Op
+from repro.bytecode.opcodes import SPECS, ArrayKind, Op, OperandKind
 from repro.classfile.classfile import ClassFile
 from repro.classfile.constant_pool import (
     CpClass,
@@ -47,7 +48,6 @@ from repro.classfile.members import (
     parse_descriptor,
 )
 from repro.errors import BytecodeError
-
 
 class MethodAssembler:
     """Accumulates instructions for one method.
@@ -93,7 +93,10 @@ class MethodAssembler:
         if index > self._max_local_seen:
             self._max_local_seen = index
 
-    # -- constants -------------------------------------------------------------
+    # -- emitters with constant or structured operands --------------------
+    #
+    # Opcodes whose operand is nothing, a label or a local index get
+    # their emitter from SPECS (see the end of this module).
 
     def iconst(self, value: int) -> "MethodAssembler":
         """Push an integer immediate."""
@@ -113,147 +116,9 @@ class MethodAssembler:
             raise BytecodeError(f"ldc cannot load {value!r}")
         return self.emit(Op.LDC, index)
 
-    def aconst_null(self) -> "MethodAssembler":
-        return self.emit(Op.ACONST_NULL)
-
-    # -- locals ------------------------------------------------------------------
-
-    def iload(self, index: int) -> "MethodAssembler":
-        self._track_local(index)
-        return self.emit(Op.ILOAD, index)
-
-    def istore(self, index: int) -> "MethodAssembler":
-        self._track_local(index)
-        return self.emit(Op.ISTORE, index)
-
-    def aload(self, index: int) -> "MethodAssembler":
-        self._track_local(index)
-        return self.emit(Op.ALOAD, index)
-
-    def astore(self, index: int) -> "MethodAssembler":
-        self._track_local(index)
-        return self.emit(Op.ASTORE, index)
-
     def iinc(self, index: int, delta: int) -> "MethodAssembler":
         self._track_local(index)
         return self.emit(Op.IINC, (index, delta))
-
-    # -- stack ------------------------------------------------------------------
-
-    def pop(self) -> "MethodAssembler":
-        return self.emit(Op.POP)
-
-    def dup(self) -> "MethodAssembler":
-        return self.emit(Op.DUP)
-
-    def dup_x1(self) -> "MethodAssembler":
-        return self.emit(Op.DUP_X1)
-
-    def swap(self) -> "MethodAssembler":
-        return self.emit(Op.SWAP)
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def iadd(self) -> "MethodAssembler":
-        return self.emit(Op.IADD)
-
-    def isub(self) -> "MethodAssembler":
-        return self.emit(Op.ISUB)
-
-    def imul(self) -> "MethodAssembler":
-        return self.emit(Op.IMUL)
-
-    def idiv(self) -> "MethodAssembler":
-        return self.emit(Op.IDIV)
-
-    def irem(self) -> "MethodAssembler":
-        return self.emit(Op.IREM)
-
-    def ineg(self) -> "MethodAssembler":
-        return self.emit(Op.INEG)
-
-    def ishl(self) -> "MethodAssembler":
-        return self.emit(Op.ISHL)
-
-    def ishr(self) -> "MethodAssembler":
-        return self.emit(Op.ISHR)
-
-    def iushr(self) -> "MethodAssembler":
-        return self.emit(Op.IUSHR)
-
-    def iand(self) -> "MethodAssembler":
-        return self.emit(Op.IAND)
-
-    def ior(self) -> "MethodAssembler":
-        return self.emit(Op.IOR)
-
-    def ixor(self) -> "MethodAssembler":
-        return self.emit(Op.IXOR)
-
-    def fdiv(self) -> "MethodAssembler":
-        return self.emit(Op.FDIV)
-
-    def i2f(self) -> "MethodAssembler":
-        return self.emit(Op.I2F)
-
-    def f2i(self) -> "MethodAssembler":
-        return self.emit(Op.F2I)
-
-    def fcmp(self) -> "MethodAssembler":
-        return self.emit(Op.FCMP)
-
-    # -- control flow ---------------------------------------------------------------
-
-    def goto(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.GOTO, target)
-
-    def ifeq(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IFEQ, target)
-
-    def ifne(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IFNE, target)
-
-    def iflt(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IFLT, target)
-
-    def ifle(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IFLE, target)
-
-    def ifgt(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IFGT, target)
-
-    def ifge(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IFGE, target)
-
-    def if_icmpeq(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IF_ICMPEQ, target)
-
-    def if_icmpne(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IF_ICMPNE, target)
-
-    def if_icmplt(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IF_ICMPLT, target)
-
-    def if_icmple(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IF_ICMPLE, target)
-
-    def if_icmpgt(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IF_ICMPGT, target)
-
-    def if_icmpge(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IF_ICMPGE, target)
-
-    def ifnull(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IFNULL, target)
-
-    def ifnonnull(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IFNONNULL, target)
-
-    def if_acmpeq(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IF_ACMPEQ, target)
-
-    def if_acmpne(self, target: str) -> "MethodAssembler":
-        return self.emit(Op.IF_ACMPNE, target)
 
     # -- objects and fields -------------------------------------------------------------
 
@@ -289,21 +154,6 @@ class MethodAssembler:
     def newarray(self, kind: ArrayKind) -> "MethodAssembler":
         return self.emit(Op.NEWARRAY, kind)
 
-    def iaload(self) -> "MethodAssembler":
-        return self.emit(Op.IALOAD)
-
-    def iastore(self) -> "MethodAssembler":
-        return self.emit(Op.IASTORE)
-
-    def aaload(self) -> "MethodAssembler":
-        return self.emit(Op.AALOAD)
-
-    def aastore(self) -> "MethodAssembler":
-        return self.emit(Op.AASTORE)
-
-    def arraylength(self) -> "MethodAssembler":
-        return self.emit(Op.ARRAYLENGTH)
-
     # -- calls --------------------------------------------------------------------------
 
     def invokestatic(self, class_name: str, name: str,
@@ -321,25 +171,7 @@ class MethodAssembler:
         ref = CpMethodRef(class_name, name, descriptor)
         return self.emit(Op.INVOKESPECIAL, self._owner.cp(ref))
 
-    def return_(self) -> "MethodAssembler":
-        return self.emit(Op.RETURN)
-
-    def ireturn(self) -> "MethodAssembler":
-        return self.emit(Op.IRETURN)
-
-    def areturn(self) -> "MethodAssembler":
-        return self.emit(Op.ARETURN)
-
-    # -- exceptions and monitors -------------------------------------------------------
-
-    def athrow(self) -> "MethodAssembler":
-        return self.emit(Op.ATHROW)
-
-    def monitorenter(self) -> "MethodAssembler":
-        return self.emit(Op.MONITORENTER)
-
-    def monitorexit(self) -> "MethodAssembler":
-        return self.emit(Op.MONITOREXIT)
+    # -- exception table -----------------------------------------------------
 
     def try_catch(self, start: str, end: str, handler: str,
                   catch_type: Optional[str] = None) -> "MethodAssembler":
@@ -398,7 +230,6 @@ class MethodAssembler:
             self.finish()
         return False
 
-
 class ClassAssembler:
     """Builds one :class:`ClassFile`."""
 
@@ -453,3 +284,28 @@ class ClassAssembler:
             from repro.bytecode.verifier import verify_class
             verify_class(self._cf)
         return self._cf
+
+
+def _emitter(op: Op, kind: OperandKind):
+    """The fluent emitter for an opcode whose operand is nothing, a
+    label name or a local-variable index."""
+    if kind is OperandKind.NONE:
+        def emitter(self) -> MethodAssembler:
+            return self.emit(op)
+    elif kind is OperandKind.LABEL:
+        def emitter(self, target: str) -> MethodAssembler:
+            return self.emit(op, target)
+    else:
+        def emitter(self, index: int) -> MethodAssembler:
+            self._track_local(index)
+            return self.emit(op, index)
+    emitter.__doc__ = f"Emit ``{SPECS[op].mnemonic}``."
+    return emitter
+
+
+# ``m.iadd()``, ``m.goto("L")``, ``m.iload(0)``, ``m.return_()`` ...
+for _op, _spec in SPECS.items():
+    if _spec.operand in (OperandKind.NONE, OperandKind.LABEL,
+                         OperandKind.LOCAL):
+        _name = _spec.mnemonic + "_" * keyword.iskeyword(_spec.mnemonic)
+        setattr(MethodAssembler, _name, _emitter(_op, _spec.operand))

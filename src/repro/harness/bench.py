@@ -33,6 +33,7 @@ from repro.harness.runner import execute
 from repro.jit.policy import JitPolicy
 from repro.jvm.machine import VMConfig
 from repro.launcher import runtime_archive
+from repro.observability.ledger import regression
 from repro.observability.runinfo import git_info, utc_timestamp
 
 #: Default output file, relative to the invoking directory.
@@ -179,7 +180,8 @@ def compare_bench(current: Dict, baseline: Dict,
     if base_rate <= 0:
         lines.append("baseline rate missing or zero; nothing to gate")
         return True, lines
-    change = (cur_rate - base_rate) / base_rate * 100.0
+    change, worse = regression(base_rate, cur_rate, 1,
+                               max_regression_percent)
     verb = "faster" if change >= 0 else "slower"
     lines.append(f"change:   {change:+.1f}% ({verb})")
     # Per-workload deltas over the *union* of workload names, so a
@@ -245,7 +247,7 @@ def compare_bench(current: Dict, baseline: Dict,
             sha = doc.get("git_sha") or "?"
             lines.append(f"WARNING: {label} was measured on a dirty "
                          f"working tree (git {sha[:12]})")
-    ok = change >= -max_regression_percent
+    ok = not worse
     if ok:
         lines.append(f"OK: within the {max_regression_percent:.1f}% "
                      f"regression budget")

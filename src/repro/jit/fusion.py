@@ -7,12 +7,13 @@ but every operand-stack slot it materializes is a Python assignment —
 fusing a load with its consumer deletes those assignments from the
 generated source, which is where the tier's host time goes.
 
-This module does the *selection* only; the emitters live in
-:mod:`repro.jit.template` (they own stack-slot naming and the
-accounting helpers).  A fused window charges the sum of its
-instructions' cycle costs in one accumulation — the template sums
-per-instruction costs into per-segment constants anyway, so fusion
-cannot perturb simulated accounting by construction.
+This module does the *selection* only.  :mod:`repro.jit.template`
+emits a window as its consumer's :mod:`repro.jit.opdefs` fragment with
+the loads' expressions substituted for the stack slots they would have
+filled.  A fused window charges the sum of its instructions' cycle
+costs in one accumulation — the template sums per-instruction costs
+into per-segment constants anyway, so fusion cannot perturb simulated
+accounting by construction.
 
 Pair selection heuristic
 ------------------------
@@ -38,30 +39,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.bytecode.opcodes import Op
-
-_ILOAD = int(Op.ILOAD)
-_ALOAD = int(Op.ALOAD)
-_ICONST = int(Op.ICONST)
-_ACONST_NULL = int(Op.ACONST_NULL)
-_ISTORE = int(Op.ISTORE)
-_ASTORE = int(Op.ASTORE)
-_GETFIELD = int(Op.GETFIELD)
-_GOTO = int(Op.GOTO)
+from repro.bytecode.opcodes import CONDITIONAL_BRANCHES, Op
 
 #: Loads whose value the emitters can rebuild as a plain expression
 #: (a local-variable subscript or a literal) — the precondition for
 #: deleting the stack-slot assignment.
-_INT_LOADS = frozenset({_ILOAD, _ICONST})
-_REF_LOADS = frozenset({_ALOAD, _ACONST_NULL})
+_INT_LOADS = frozenset({Op.ILOAD, Op.ICONST})
+_REF_LOADS = frozenset({Op.ALOAD, Op.ACONST_NULL})
 _LOADS = _INT_LOADS | _REF_LOADS
 
 #: Type-polymorphic int arithmetic (wrap-checked fast path).
-_ARITH = frozenset({int(Op.IADD), int(Op.ISUB), int(Op.IMUL)})
-
-
-def _is_cond_branch(op: int) -> bool:
-    return 0x50 <= op <= 0x60 and op != _GOTO
+_ARITH = frozenset({Op.IADD, Op.ISUB, Op.IMUL})
 
 
 class FusedSite:
@@ -89,7 +77,7 @@ def _match(ops, code, pc: int, n: int) -> Optional[Tuple[str, int]]:
     if pc + 1 >= n:
         return None
     nxt = ops[pc + 1]
-    if op == _ALOAD and nxt == _GETFIELD:
+    if op == Op.ALOAD and nxt == Op.GETFIELD:
         # only fusible once the field site is quickened; a cold site
         # keeps the deopt-until-quickened guard and never fuses
         if code[pc + 1].quick is not None:
@@ -97,10 +85,10 @@ def _match(ops, code, pc: int, n: int) -> Optional[Tuple[str, int]]:
         return None
     if op in _INT_LOADS and nxt in _ARITH:
         return "load_arith", 2
-    if (op in _INT_LOADS and nxt == _ISTORE) or \
-            (op in _REF_LOADS and nxt == _ASTORE):
+    if (op in _INT_LOADS and nxt == Op.ISTORE) or \
+            (op in _REF_LOADS and nxt == Op.ASTORE):
         return "load_store", 2
-    if _is_cond_branch(nxt):
+    if nxt in CONDITIONAL_BRANCHES:
         return "load_branch", 2
     return None
 
@@ -119,7 +107,7 @@ def plan_fusion(ops, operands, code, depth_at, deopt_only, targets,
     spans: List[Tuple[int, int]] = []
     for pc in range(n):
         if depth_at[pc] >= 0 and not deopt_only[pc] \
-                and 0x50 <= ops[pc] <= 0x60:
+                and code[pc].spec.is_branch:
             t = operands[pc]
             if t <= pc:
                 spans.append((t, pc))

@@ -51,119 +51,16 @@ runs exception dispatch).
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 from repro.analysis.cfg import solve_forward
-from repro.bytecode.opcodes import ArrayKind, Op, SPECS
+from repro.bytecode.opcodes import INVOKE_OPS, SPECS, Op
 from repro.bytecode.verifier import _stack_effect
 from repro.classfile.constant_pool import CpMethodRef
-from repro.errors import DeadlockError, NoSuchFieldError
 from repro.jit.fusion import plan_fusion
+from repro.jit.opdefs import FRAGMENT_GLOBALS, OPDEFS, Literal, render
 from repro.jvm.costmodel import ChargeTag
 from repro.jvm.interpreter import Unwind
-from repro.jvm.values import JArray, wrap_int32
-
-_NPE = "java.lang.NullPointerException"
-_AIOOBE = "java.lang.ArrayIndexOutOfBoundsException"
-_ARITH = "java.lang.ArithmeticException"
-_CCE = "java.lang.ClassCastException"
-_NASE = "java.lang.NegativeArraySizeException"
-_IMSE = "java.lang.IllegalMonitorStateException"
-
-_NOP = int(Op.NOP)
-_ICONST = int(Op.ICONST)
-_LDC = int(Op.LDC)
-_ACONST_NULL = int(Op.ACONST_NULL)
-_ILOAD = int(Op.ILOAD)
-_ISTORE = int(Op.ISTORE)
-_ALOAD = int(Op.ALOAD)
-_ASTORE = int(Op.ASTORE)
-_IINC = int(Op.IINC)
-_POP = int(Op.POP)
-_DUP = int(Op.DUP)
-_DUP_X1 = int(Op.DUP_X1)
-_SWAP = int(Op.SWAP)
-_IADD = int(Op.IADD)
-_ISUB = int(Op.ISUB)
-_IMUL = int(Op.IMUL)
-_IDIV = int(Op.IDIV)
-_IREM = int(Op.IREM)
-_INEG = int(Op.INEG)
-_ISHL = int(Op.ISHL)
-_ISHR = int(Op.ISHR)
-_IUSHR = int(Op.IUSHR)
-_IAND = int(Op.IAND)
-_IOR = int(Op.IOR)
-_IXOR = int(Op.IXOR)
-_FDIV = int(Op.FDIV)
-_I2F = int(Op.I2F)
-_F2I = int(Op.F2I)
-_FCMP = int(Op.FCMP)
-_GOTO = int(Op.GOTO)
-_NEW = int(Op.NEW)
-_GETFIELD = int(Op.GETFIELD)
-_PUTFIELD = int(Op.PUTFIELD)
-_GETSTATIC = int(Op.GETSTATIC)
-_PUTSTATIC = int(Op.PUTSTATIC)
-_INSTANCEOF = int(Op.INSTANCEOF)
-_CHECKCAST = int(Op.CHECKCAST)
-_NEWARRAY = int(Op.NEWARRAY)
-_IALOAD = int(Op.IALOAD)
-_IASTORE = int(Op.IASTORE)
-_AALOAD = int(Op.AALOAD)
-_AASTORE = int(Op.AASTORE)
-_ARRAYLENGTH = int(Op.ARRAYLENGTH)
-_INVOKESTATIC = int(Op.INVOKESTATIC)
-_INVOKEVIRTUAL = int(Op.INVOKEVIRTUAL)
-_INVOKESPECIAL = int(Op.INVOKESPECIAL)
-_RETURN = int(Op.RETURN)
-_IRETURN = int(Op.IRETURN)
-_ARETURN = int(Op.ARETURN)
-_ATHROW = int(Op.ATHROW)
-_MONITORENTER = int(Op.MONITORENTER)
-_MONITOREXIT = int(Op.MONITOREXIT)
-
-#: The full ISA — every opcode has an emitter below.  Anything outside
-#: this set (a future opcode) becomes a deopt site, never a wrong result.
-_SUPPORTED = frozenset(int(op) for op in Op)
-
-# conditional branches: condition template + pops
-_COND = {
-    int(Op.IFEQ): ("{a} == 0", 1),
-    int(Op.IFNE): ("{a} != 0", 1),
-    int(Op.IFLT): ("{a} < 0", 1),
-    int(Op.IFLE): ("{a} <= 0", 1),
-    int(Op.IFGT): ("{a} > 0", 1),
-    int(Op.IFGE): ("{a} >= 0", 1),
-    int(Op.IF_ICMPEQ): ("{a} == {b}", 2),
-    int(Op.IF_ICMPNE): ("{a} != {b}", 2),
-    int(Op.IF_ICMPLT): ("{a} < {b}", 2),
-    int(Op.IF_ICMPLE): ("{a} <= {b}", 2),
-    int(Op.IF_ICMPGT): ("{a} > {b}", 2),
-    int(Op.IF_ICMPGE): ("{a} >= {b}", 2),
-    int(Op.IFNULL): ("{a} is None", 1),
-    int(Op.IFNONNULL): ("{a} is not None", 1),
-    int(Op.IF_ACMPEQ): ("{a} is {b}", 2),
-    int(Op.IF_ACMPNE): ("{a} is not {b}", 2),
-}
-
-# int32 overflow check + wrap of the temp ``_r`` (the interpreter's
-# inlined fast path, verbatim)
-_WRAP = ("if _r > 2147483647 or _r < -2147483648:",
-         "    _r = (_r + 2147483648 & 4294967295) - 2147483648")
-
-# binary ALU ops that wrap unconditionally (no int-type fast-path test)
-_BIN_WRAP = {
-    _IAND: "s{x} & s{y}",
-    _IOR: "s{x} | s{y}",
-    _IXOR: "s{x} ^ s{y}",
-    _ISHL: "s{x} << (s{y} & 31)",
-    _ISHR: "s{x} >> (s{y} & 31)",
-}
-
-# type-polymorphic arithmetic (int fast path with wrap, else host op)
-_BIN_POLY = {_IADD: "+", _ISUB: "-", _IMUL: "*"}
 
 
 class _Bail(Exception):
@@ -216,19 +113,17 @@ def _translate(method, vm, policy, exclude_ops):
         if pc < 0 or pc >= n_ins:
             raise _Bail("fall_off_end")
         op = ops[pc]
-        if op in exclude_ops or op not in _SUPPORTED:
+        if op in exclude_ops or op not in OPDEFS:
             deopt_only[pc] = True
             return  # terminal in the template: no successors
-        pops, pushes = _stack_effect(code[pc], info, cp)
+        ins = code[pc]
+        pops, pushes = _stack_effect(ins, info, cp)
         if d < pops:
             raise _Bail("stack_inconsistent")
         nd = d - pops + pushes
-        if op == _GOTO:
+        if ins.spec.is_branch:
             yield operands[pc], nd
-        elif 0x50 <= op <= 0x60:
-            yield operands[pc], nd
-            yield pc + 1, nd
-        elif not (0x93 <= op <= 0x95 or op == _ATHROW):
+        if not ins.spec.ends_block:
             yield pc + 1, nd
 
     def join(pc, known, d, src):
@@ -245,7 +140,7 @@ def _translate(method, vm, policy, exclude_ops):
     back_targets = set()  # loop headers: targets of backward branches
     for pc in range(n_ins):
         if depth_at[pc] >= 0 and not deopt_only[pc] \
-                and 0x50 <= ops[pc] <= 0x60:
+                and code[pc].spec.is_branch:
             target = operands[pc]
             targets.add(target)
             if target <= pc:
@@ -267,8 +162,8 @@ def _translate(method, vm, policy, exclude_ops):
         if (policy is None or policy.osr) else {}
 
     # -- superinstruction fusion: pick hot adjacent windows to emit as
-    # combined handlers (selection lives in repro.jit.fusion; the
-    # emitters are in emit_fused below)
+    # combined handlers (selection lives in repro.jit.fusion; emit_fused
+    # below joins the window's opcode fragments)
     fusion_plan = plan_fusion(
         ops, operands, code, depth_at, deopt_only, targets,
         policy.fusion_pairs if policy is not None and policy.fusion
@@ -283,18 +178,10 @@ def _translate(method, vm, policy, exclude_ops):
         "jit": vm.jit,
         "jvmti": vm.jvmti,
         "method": method,
-        "JArray": JArray,
-        "wrap_int32": wrap_int32,
-        "NoSuchFieldError": NoSuchFieldError,
-        "DeadlockError": DeadlockError,
         "Unwind": Unwind,
-        "AK_INT": ArrayKind.INT,
         "DEOPT": (1,),
         "RET_VOID": (0, False, None),
-        "_nan": math.nan,
-        "_inf": math.inf,
-        "_ninf": -math.inf,
-        "_cs": math.copysign,
+        **FRAGMENT_GLOBALS,
     }
 
     def bind(name, value):
@@ -337,21 +224,22 @@ def _translate(method, vm, policy, exclude_ops):
         seg[0] += costs[pc]
         seg[1] += 1
 
-    def spill(rel=0):
+    def spill():
         if seg[1]:
-            out(rel, f"p += {seg[0]}")
-            out(rel, f"n += {seg[1]}")
+            out(0, f"p += {seg[0]}")
+            out(0, f"n += {seg[1]}")
             seg[0] = seg[1] = 0
 
-    def flush(pc, rel=0, set_pc=True):
+    def emit(rendered, rel=0):
+        for level, text in rendered:
+            out(rel + level, text)
+
+    def flush(pc, set_pc=True):
         # matches the interpreter: pending includes this op's cost
         # (>= 1), so the charge/retire are unconditional
-        if set_pc:
-            out(rel, f"frame.pc = {pc}")
-        out(rel, "charge(p, CT)")
-        out(rel, "p = 0")
-        out(rel, "vm.instructions_retired += n")
-        out(rel, "n = 0")
+        return ([(0, f"frame.pc = {pc}")] if set_pc else []) + [
+            (0, "charge(p, CT)"), (0, "p = 0"),
+            (0, "vm.instructions_retired += n"), (0, "n = 0")]
 
     def deopt(pc, d, reason, rel=0):
         slots = ", ".join(f"s{i}" for i in range(d))
@@ -364,11 +252,6 @@ def _translate(method, vm, policy, exclude_ops):
         out(rel + 1, "vm.instructions_retired += n")
         out(rel, f"jit.note_deopt(method, {reason!r})")
         out(rel, "return DEOPT")
-
-    def throw(pc, cls, msg_expr, rel=0, flushed=False):
-        pn = "0, 0" if flushed else "p, n"
-        out(rel, f"return interp._template_throw(thread, frame, {pc}, "
-                 f"{cls!r}, {msg_expr}, {pn})")
 
     def cold_guard(pc, d, cost):
         """Cold constant-pool site: deopt until the interpreter has
@@ -401,12 +284,91 @@ def _translate(method, vm, policy, exclude_ops):
         """Quantum check at a taken backward branch (pending charges
         still in ``p``, exactly the interpreter's check)."""
         out(rel, "if thread.cycles_total + p >= thread.preempt_at:")
-        out(rel + 1, f"frame.pc = {target}")
-        out(rel + 1, "charge(p, CT)")
-        out(rel + 1, "p = 0")
-        out(rel + 1, "vm.instructions_retired += n")
-        out(rel + 1, "n = 0")
+        emit(flush(target), rel + 1)
         out(rel + 1, "SP.preempt(thread)")
+
+    def fragment(pc, entry, d, source, loads=(), extra=(),
+                 flushed=False):
+        """Render ``source`` (lines of ``entry``'s fragments) for the
+        instruction at ``pc``, the operand stack at depth ``d``.
+
+        ``loads`` are expressions standing in for the topmost inputs (a
+        fused window's loads); ``extra`` supplies renderer placeholders;
+        ``flushed`` says pending cycles were already charged.  Returns
+        ``(rendered lines, cold site, reads p/n)``."""
+        q = code[pc].quick
+        cold = entry.quickened and q is None
+        pops = len(entry.inputs)
+        names = {name: f"s{d - pops + i}"
+                 for i, name in enumerate(entry.outputs)}
+        names.update((name, f"s{d - pops + i}")
+                     for i, name in enumerate(entry.inputs))
+        names.update(zip(entry.inputs[pops - len(loads):], loads))
+        names.update(extra)
+        operand = operands[pc]
+        observed = []
+
+        def value(name):
+            if name in names:
+                return names[name]
+            if name == "pc":
+                return Literal(pc)
+            if name == "SAN":
+                return Literal(san_on)
+            if name == "SP":
+                return Literal(sched_on)
+            if name in entry.operands:
+                if entry.bind_operand is not None:
+                    bind(f"{entry.bind_operand}{pc}", operand)
+                    return f"{entry.bind_operand}{pc}"
+                if len(entry.operands) > 1:
+                    return Literal(operand[entry.operands.index(name)])
+                return Literal(operand)
+            if cold:
+                return entry.quick.cold_view(name, "_q")
+            view = entry.quick.view(name, q)
+            letter = entry.quick.views[name][2]
+            if letter is None:
+                return Literal(view)
+            if callable(letter):
+                letter = letter(q)
+            bind(f"{letter}{pc}", view)
+            return f"{letter}{pc}"
+
+        def directive(kind, *args):
+            observed.append(kind)
+            if kind == "FLUSH":
+                return flush(pc)
+            if kind == "RAISE":
+                return [(0, f"return interp._template_raise(thread, "
+                            f"frame, {pc}, {args[0]}, p, n)")]
+            pn = "0, 0" if flushed else "p, n"
+            return [(0, f"return interp._template_throw(thread, frame, "
+                        f"{pc}, {args[0]!r}, {args[1]}, {pn})")]
+
+        return render(source, value, directive), cold, bool(observed)
+
+    def emit_branch(pc, entry, d, loads=()):
+        """A branch at ``pc``: its condition fragment guards the jump
+        to the target block.  A fused window (``loads``) has already
+        accumulated its instructions."""
+        if not loads:
+            acc(pc)
+        spill()
+        target = operands[pc]
+        backedge = sched_on and target <= pc
+        if entry.cond is None:  # goto
+            if backedge:
+                safepoint_backedge(target, rel=0)
+            out(0, f"b = {bid[target]}")
+            out(0, "continue")
+            return False
+        emit(fragment(pc, entry, d, [f"if {entry.cond}:"], loads)[0])
+        if backedge:
+            safepoint_backedge(target, rel=1)
+        out(1, f"b = {bid[target]}")
+        out(1, "continue")
+        return True
 
     def emit_op(pc, op, d):
         """Emit one instruction; returns True when it falls through."""
@@ -415,444 +377,47 @@ def _translate(method, vm, policy, exclude_ops):
 
         if deopt_only[pc]:
             spill()
-            name = SPECS[Op(op)].mnemonic if op in _SUPPORTED \
+            name = SPECS[Op(op)].mnemonic if op in OPDEFS \
                 else f"0x{op:02x}"
             deopt(pc, d, f"unsupported_op:{name}")
             return False
 
-        if op == _ICONST:
-            acc(pc)
-            out(0, f"s{d} = {operands[pc]!r}")
-        elif op == _ILOAD or op == _ALOAD:
-            acc(pc)
-            out(0, f"s{d} = l[{operands[pc]}]")
-        elif op == _ISTORE or op == _ASTORE:
-            acc(pc)
-            out(0, f"l[{operands[pc]}] = s{d - 1}")
-        elif op == _ACONST_NULL:
-            acc(pc)
-            out(0, f"s{d} = None")
-        elif op == _NOP:
-            acc(pc)
-        elif op == _IINC:
-            acc(pc)
-            idx, delta = operands[pc]
-            out(0, f"_r = l[{idx}] + {delta}")
-            out(0, "if type(_r) is int:")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"l[{idx}] = _r")
-            out(0, "else:")
-            out(1, f"l[{idx}] = wrap_int32(_r)")
-        elif op == _POP:
-            acc(pc)
-        elif op == _DUP:
-            acc(pc)
-            out(0, f"s{d} = s{d - 1}")
-        elif op == _DUP_X1:
-            acc(pc)
-            out(0, f"s{d - 2}, s{d - 1}, s{d} = "
-                   f"s{d - 1}, s{d - 2}, s{d - 1}")
-        elif op == _SWAP:
-            acc(pc)
-            out(0, f"s{d - 2}, s{d - 1} = s{d - 1}, s{d - 2}")
-        elif op in _BIN_POLY:
-            acc(pc)
-            pyop = _BIN_POLY[op]
-            out(0, f"_a = s{d - 2}")
-            out(0, f"_b = s{d - 1}")
-            out(0, "if type(_b) is int and type(_a) is int:")
-            out(1, f"_r = _a {pyop} _b")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"s{d - 2} = _r")
-            out(0, "else:")
-            out(1, f"s{d - 2} = _a {pyop} _b")
-        elif op in _BIN_WRAP:
-            acc(pc)
-            out(0, "_r = " + _BIN_WRAP[op].format(x=d - 2, y=d - 1))
-            out(0, _WRAP[0])
-            out(0, _WRAP[1])
-            out(0, f"s{d - 2} = _r")
-        elif op == _IUSHR:
-            acc(pc)
-            out(0, f"_r = (s{d - 2} & 4294967295) >> (s{d - 1} & 31)")
-            out(0, "if _r > 2147483647:")
-            out(1, "_r -= 4294967296")
-            out(0, f"s{d - 2} = _r")
-        elif op == _INEG:
-            acc(pc)
-            out(0, f"_v = s{d - 1}")
-            out(0, "if type(_v) is int:")
-            out(1, "_r = -_v")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"s{d - 1} = _r")
-            out(0, "else:")
-            out(1, f"s{d - 1} = -_v")
-        elif op == _I2F:
-            acc(pc)
-            out(0, f"s{d - 1} = float(s{d - 1})")
-        elif op == _F2I:
-            acc(pc)
-            out(0, f"_r = int(s{d - 1})")
-            out(0, _WRAP[0])
-            out(0, _WRAP[1])
-            out(0, f"s{d - 1} = _r")
-        elif op == _FCMP:
-            acc(pc)
-            out(0, f"_a = s{d - 2}")
-            out(0, f"_b = s{d - 1}")
-            out(0, f"s{d - 2} = -1 if _a < _b else (1 if _a > _b else 0)")
-        elif op == _FDIV:
-            acc(pc)
-            out(0, f"_a = s{d - 2}")
-            out(0, f"_b = s{d - 1}")
-            out(0, "if _b == 0:")
-            out(1, "if _a == 0:")
-            out(2, f"s{d - 2} = _nan")
-            out(1, "else:")
-            out(2, "_r = _cs(1.0, float(_a)) * _cs(1.0, float(_b))")
-            out(2, f"s{d - 2} = _inf if _r > 0 else _ninf")
-            out(0, "else:")
-            out(1, f"s{d - 2} = _a / _b")
-        elif op == _IDIV or op == _IREM:
+        entry = OPDEFS[op]
+        spec = ins.spec
+        if spec.is_branch:
+            return emit_branch(pc, entry, d)
+        if spec.cost_class == "return":
             acc(pc)
             spill()
-            out(0, f"_b = s{d - 1}")
-            out(0, f"_a = s{d - 2}")
-            out(0, "if type(_a) is int and type(_b) is int:")
-            out(1, "if _b == 0:")
-            throw(pc, _ARITH, "'/ by zero'", rel=2)
-            out(1, "_t = abs(_a) // abs(_b)")
-            out(1, "if (_a < 0) != (_b < 0):")
-            out(2, "_t = -_t")
-            if op == _IDIV:
-                out(1, "_r = _t")
-            else:
-                out(1, "_r = _a - _t * _b")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"s{d - 2} = _r")
-            out(0, "else:")
-            out(1, "if _b == 0:")
-            throw(pc, _ARITH, "'/ by zero'", rel=2)
-            if op == _IDIV:
-                out(1, f"s{d - 2} = _a / _b")
-            else:
-                out(1, f"s{d - 2} = _a % _b")
-        elif op == _GOTO:
-            acc(pc)
-            spill()
-            if sched_on and operands[pc] <= pc:
-                safepoint_backedge(operands[pc], rel=0)
-            out(0, f"b = {bid[operands[pc]]}")
-            out(0, "continue")
-            return False
-        elif op in _COND:
-            acc(pc)
-            spill()
-            tmpl, pops = _COND[op]
-            if pops == 1:
-                cond = tmpl.format(a=f"s{d - 1}")
-            else:
-                cond = tmpl.format(a=f"s{d - 2}", b=f"s{d - 1}")
-            out(0, f"if {cond}:")
-            if sched_on and operands[pc] <= pc:
-                safepoint_backedge(operands[pc], rel=1)
-            out(1, f"b = {bid[operands[pc]]}")
-            out(1, "continue")
-        elif op == _GETFIELD:
-            q = ins.quick
-            if q is not None:
-                acc(pc)
-                spill()
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is None:")
-                throw(pc, _NPE, repr(f"getfield {q}"), rel=1)
-                out(0, "try:")
-                out(1, f"s{d - 1} = _o.fields[{q!r}]")
-                out(0, "except (KeyError, AttributeError):")
-                out(1, 'raise NoSuchFieldError(f"{_o!r} has no field '
-                       f'{q}")')
-                if san_on:
-                    out(0, f"frame.pc = {pc}")
-                    out(0, f"SAN.read_field(thread, _o, {q!r})")
-            else:
-                cold_guard(pc, d, cost)
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is None:")
-                throw(pc, _NPE, "'getfield ' + _q", rel=1)
-                out(0, "try:")
-                out(1, f"s{d - 1} = _o.fields[_q]")
-                out(0, "except (KeyError, AttributeError):")
-                out(1, 'raise NoSuchFieldError(f"{_o!r} has no field '
-                       '{_q}")')
-                if san_on:
-                    out(0, f"frame.pc = {pc}")
-                    out(0, "SAN.read_field(thread, _o, _q)")
-        elif op == _PUTFIELD:
-            q = ins.quick
-            if q is not None:
-                acc(pc)
-                spill()
-                out(0, f"_v = s{d - 1}")
-                out(0, f"_o = s{d - 2}")
-                out(0, "if _o is None:")
-                throw(pc, _NPE, repr(f"putfield {q}"), rel=1)
-                out(0, f"if {q!r} not in _o.fields:")
-                out(1, 'raise NoSuchFieldError(f"{_o!r} has no field '
-                       f'{q}")')
-                out(0, f"_o.fields[{q!r}] = _v")
-                if san_on:
-                    out(0, f"frame.pc = {pc}")
-                    out(0, f"SAN.write_field(thread, _o, {q!r})")
-            else:
-                cold_guard(pc, d, cost)
-                out(0, f"_v = s{d - 1}")
-                out(0, f"_o = s{d - 2}")
-                out(0, "if _o is None:")
-                throw(pc, _NPE, "'putfield ' + _q", rel=1)
-                out(0, "if _q not in _o.fields:")
-                out(1, 'raise NoSuchFieldError(f"{_o!r} has no field '
-                       '{_q}")')
-                out(0, "_o.fields[_q] = _v")
-                if san_on:
-                    out(0, f"frame.pc = {pc}")
-                    out(0, "SAN.write_field(thread, _o, _q)")
-        elif op == _GETSTATIC or op == _PUTSTATIC:
-            q = ins.quick
-            if q is not None:
-                bind(f"D{pc}", q[0].statics)
-                bind(f"N{pc}", q[1])
-                if san_on:
-                    bind(f"H{pc}", q[0])
-                acc(pc)
-                spill()
-                flush(pc)
-                if op == _GETSTATIC:
-                    out(0, f"s{d} = D{pc}[N{pc}]")
-                    if san_on:
-                        out(0, f"SAN.read_static(thread, H{pc}, N{pc})")
-                else:
-                    out(0, f"D{pc}[N{pc}] = s{d - 1}")
-                    if san_on:
-                        out(0, f"SAN.write_static(thread, H{pc}, N{pc})")
-            else:
-                cold_guard(pc, d, cost)
-                flush(pc)
-                if op == _GETSTATIC:
-                    out(0, f"s{d} = _q[0].statics[_q[1]]")
-                    if san_on:
-                        out(0, "SAN.read_static(thread, _q[0], _q[1])")
-                else:
-                    out(0, f"_q[0].statics[_q[1]] = s{d - 1}")
-                    if san_on:
-                        out(0, "SAN.write_static(thread, _q[0], _q[1])")
-        elif op == _NEW:
-            q = ins.quick
-            if q is not None:
-                bind(f"C{pc}", q)
-                acc(pc)
-                spill()
-                flush(pc)
-                out(0, f"s{d} = heap.alloc_object(C{pc})")
-            else:
-                cold_guard(pc, d, cost)
-                flush(pc)
-                out(0, f"s{d} = heap.alloc_object(_q)")
-        elif op == _LDC:
-            q = ins.quick
-            if q is not None:
-                if q[0]:  # string: interning was a VM boundary
-                    bind(f"S{pc}", q[1])
-                    acc(pc)
-                    spill()
-                    flush(pc)
-                    out(0, f"s{d} = S{pc}")
-                else:
-                    bind(f"F{pc}", q[1])
-                    acc(pc)
-                    out(0, f"s{d} = F{pc}")
-            else:
-                cold_guard(pc, d, cost)
-                out(0, "if _q[0]:")
-                flush(pc, rel=1)
-                out(0, f"s{d} = _q[1]")
-        elif op == _INSTANCEOF:
-            q = ins.quick
-            if q is not None:
-                acc(pc)
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is None:")
-                out(1, f"s{d - 1} = 0")
-                out(0, "elif isinstance(_o, JArray):")
-                out(1, f"s{d - 1} = {1 if q == 'java.lang.Object' else 0}")
-                out(0, "else:")
-                out(1, f"s{d - 1} = 1 if _o.jclass.is_subclass_of({q!r}) "
-                       "else 0")
-            else:
-                cold_guard(pc, d, cost)
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is None:")
-                out(1, f"s{d - 1} = 0")
-                out(0, "elif isinstance(_o, JArray):")
-                out(1, f"s{d - 1} = 1 if _q == 'java.lang.Object' else 0")
-                out(0, "else:")
-                out(1, f"s{d - 1} = 1 if _o.jclass.is_subclass_of(_q) "
-                       "else 0")
-        elif op == _CHECKCAST:
-            q = ins.quick
-            if q is not None:
-                acc(pc)
-                spill()
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is not None and not isinstance(_o, JArray) "
-                       f"and not _o.jclass.is_subclass_of({q!r}):")
-                throw(pc, _CCE, f"_o.class_name + {' -> ' + q!r}", rel=1)
-            else:
-                cold_guard(pc, d, cost)
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is not None and not isinstance(_o, JArray) "
-                       "and not _o.jclass.is_subclass_of(_q):")
-                throw(pc, _CCE, "_o.class_name + ' -> ' + _q", rel=1)
-        elif op == _NEWARRAY:
-            acc(pc)
-            spill()
-            bind(f"A{pc}", operands[pc])
-            out(0, f"_v = s{d - 1}")
-            out(0, "if _v < 0:")
-            throw(pc, _NASE, "str(_v)", rel=1)
-            out(0, f"s{d - 1} = heap.alloc_array(A{pc}, _v)")
-        elif op == _IALOAD or op == _AALOAD:
-            acc(pc)
-            spill()
-            out(0, f"_i = s{d - 1}")
-            out(0, f"_arr = s{d - 2}")
-            out(0, "if _arr is None:")
-            throw(pc, _NPE, "'array load'", rel=1)
-            out(0, "_dt = _arr.data")
-            out(0, "if _i < 0 or _i >= len(_dt):")
-            throw(pc, _AIOOBE, "str(_i)", rel=1)
-            out(0, f"s{d - 2} = _dt[_i]")
-        elif op == _IASTORE or op == _AASTORE:
-            acc(pc)
-            spill()
-            out(0, f"_v = s{d - 1}")
-            out(0, f"_i = s{d - 2}")
-            out(0, f"_arr = s{d - 3}")
-            out(0, "if _arr is None:")
-            throw(pc, _NPE, "'array store'", rel=1)
-            out(0, "_dt = _arr.data")
-            out(0, "if _i < 0 or _i >= len(_dt):")
-            throw(pc, _AIOOBE, "str(_i)", rel=1)
-            out(0, "if _arr.kind is AK_INT and type(_v) is int "
-                   "and -2147483648 <= _v <= 2147483647:")
-            out(1, "_dt[_i] = _v")
-            out(0, "else:")
-            out(1, "_dt[_i] = _arr.normalize(_v)")
-        elif op == _ARRAYLENGTH:
-            acc(pc)
-            spill()
-            out(0, f"_arr = s{d - 1}")
-            out(0, "if _arr is None:")
-            throw(pc, _NPE, "'arraylength'", rel=1)
-            out(0, f"s{d - 1} = len(_arr.data)")
-        elif op == _MONITORENTER:
-            acc(pc)
-            spill()
-            out(0, f"_o = s{d - 1}")
-            out(0, "if _o is None:")
-            throw(pc, _NPE, "'monitorenter'", rel=1)
-            out(0, "if _o.monitor_owner is None or "
-                   "_o.monitor_owner is thread:")
-            out(1, "_o.monitor_owner = thread")
-            out(1, "_o.monitor_count += 1")
-            if san_on:
-                out(1, "SAN.on_acquire(thread, _o)")
-            out(0, "else:")
-            if sched_on:
-                # contended: flush (the thread parks mid-opcode) and
-                # block until ownership is handed over
-                flush(pc, rel=1)
-                out(1, "SP.acquire_contended(thread, _o)")
-            else:
-                out(1, "raise interp._sequential_monitor_deadlock("
-                       "thread, _o)")
-        elif op == _MONITOREXIT:
-            acc(pc)
-            spill()
-            out(0, f"_o = s{d - 1}")
-            out(0, "if _o is None:")
-            throw(pc, _NPE, "'monitorexit'", rel=1)
-            out(0, "if _o.monitor_owner is not thread or "
-                   "_o.monitor_count <= 0:")
-            throw(pc, _IMSE, "'not monitor owner'", rel=1)
-            out(0, "_o.monitor_count -= 1")
-            out(0, "if _o.monitor_count == 0:")
-            out(1, "_o.monitor_owner = None")
-            if san_on:
-                out(1, "SAN.on_release(thread, _o)")
-            if sched_on:
-                out(1, "if _o.monitor_waiters:")
-                out(2, "SP.release_monitor(thread, _o)")
-        elif 0x93 <= op <= 0x95:  # RETURN / IRETURN / ARETURN
-            acc(pc)
-            spill()
-            flush(pc, set_pc=False)
+            emit(flush(pc, set_pc=False))
             # the flag is re-checked at run time (agents can toggle
             # events mid-run); inlining it just skips a call when off
             out(0, "if jvmti.method_exit_enabled:")
             out(1, "interp._exit_method_event(thread, method, False)")
-            if op == _RETURN:
-                out(0, "return RET_VOID")
-            else:
+            if entry.inputs:
                 out(0, f"return (0, True, s{d - 1})")
+            else:
+                out(0, "return RET_VOID")
             return False
-        elif op == _ATHROW:
-            acc(pc)
-            spill()
-            out(0, f"_e = s{d - 1}")
-            out(0, "if _e is None:")
-            throw(pc, _NPE, "'throw null'", rel=1)
-            out(0, f"return interp._template_raise(thread, frame, {pc}, "
-                   "_e, p, n)")
-            return False
-        elif 0x90 <= op <= 0x92:  # INVOKE family
+        if op in INVOKE_OPS:
             np, pushes = _stack_effect(ins, info, cp)
             ref = cp.get_typed(operands[pc], CpMethodRef)
-            q = ins.quick
-            if q is None:
+            select, cold, _ = fragment(
+                pc, entry, d, entry.body, flushed=True,
+                extra={"recv": f"s{d - np}",
+                       "mname": Literal(ref.method_name)})
+            if cold:
                 cold_guard(pc, d, cost)
-                qref = "_q"
             else:
-                bind(f"Q{pc}", q)
-                qref = f"Q{pc}"
                 acc(pc)
                 spill()
-            flush(pc)
+            emit(flush(pc))
             if sched_on:
                 out(0, "if thread.cycles_total >= thread.preempt_at:")
                 out(1, "SP.preempt(thread)")
             args = ", ".join(f"s{i}" for i in range(d - np, d))
             out(0, f"_a = [{args}]")
-            if op != _INVOKESTATIC:
-                out(0, f"if s{d - np} is None:")
-                throw(pc, _NPE, repr(f"invoke {ref.method_name} on null"),
-                      rel=1, flushed=True)
-            if op == _INVOKEVIRTUAL:
-                out(0, f"_rc = getattr(s{d - np}, 'jclass', None)")
-                out(0, "if _rc is None:")
-                out(1, "_rc = loader.load('java.lang.Object')")
-                out(0, f"if _rc is {qref}[4]:")
-                out(1, f"_m = {qref}[5]")
-                out(1, "vm.ic_hits += 1")
-                out(0, "else:")
-                # PIC slow path: shared with the interpreter so cache
-                # state and counters evolve identically across tiers
-                out(1, f"_m = interp._pic_miss({qref}, _rc)")
-            else:
-                out(0, f"_m = {qref}[0]")
+            emit(select)
             out(0, "if _m.is_native:")
             out(1, "try:")
             out(2, "_res = interp._invoke_native(thread, _m, _a)")
@@ -887,21 +452,26 @@ def _translate(method, vm, policy, exclude_ops):
             out(3, "return (2, _u.jobject)")
             if pushes:
                 out(0, f"s{d - np} = _res")
-        else:  # pragma: no cover - _SUPPORTED is exhaustive over Op
-            raise _Bail(f"unsupported_op:0x{op:02x}")
-        return True
+            return True
+        body, cold, observed = fragment(pc, entry, d, entry.body)
+        if cold:
+            cold_guard(pc, d, cost)
+        else:
+            acc(pc)
+            if observed:
+                spill()
+        emit(body)
+        return not spec.ends_block
 
-    def _load_expr(pc):
+    def load_expr(pc):
         """The value a fusible load pushes, as a plain expression."""
-        op = ops[pc]
-        if op == _ILOAD or op == _ALOAD:
-            return f"l[{operands[pc]}]"
-        if op == _ICONST:
-            return repr(operands[pc])
-        return "None"  # ACONST_NULL
+        entry = OPDEFS[ops[pc]]
+        return fragment(pc, entry, 0, [entry.push_expr])[0][0][1]
 
     def emit_fused(site, d):
-        """Emit one fused superinstruction window.
+        """Emit one fused superinstruction window: the consumer's
+        fragment (the window's last instruction) with the loads'
+        expressions in place of its topmost inputs.
 
         Accounting: every instruction in the window is ``acc``-ed, so
         the segment constant carries the sum of their cycle costs — the
@@ -915,58 +485,16 @@ def _translate(method, vm, policy, exclude_ops):
         last = pc + site.length - 1
         for k in range(pc, last + 1):
             acc(k)
-        pattern = site.pattern
-        if pattern == "load_load_arith":
-            pyop = _BIN_POLY[ops[last]]
-            out(0, f"_a = {_load_expr(pc)}")
-            out(0, f"_b = {_load_expr(pc + 1)}")
-            out(0, "if type(_b) is int and type(_a) is int:")
-            out(1, f"_r = _a {pyop} _b")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"s{d} = _r")
-            out(0, "else:")
-            out(1, f"s{d} = _a {pyop} _b")
-        elif pattern == "load_arith":
-            pyop = _BIN_POLY[ops[last]]
-            out(0, f"_a = s{d - 1}")
-            out(0, f"_b = {_load_expr(pc)}")
-            out(0, "if type(_b) is int and type(_a) is int:")
-            out(1, f"_r = _a {pyop} _b")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"s{d - 1} = _r")
-            out(0, "else:")
-            out(1, f"s{d - 1} = _a {pyop} _b")
-        elif pattern == "load_store":
-            out(0, f"l[{operands[last]}] = {_load_expr(pc)}")
-        elif pattern == "aload_getfield":
-            q = code[last].quick
+        loads = [load_expr(k) for k in range(pc, last)]
+        entry = OPDEFS[ops[last]]
+        d += len(loads)
+        if code[last].spec.is_branch:
+            emit_branch(last, entry, d, loads)
+            return True
+        body, _, observed = fragment(last, entry, d, entry.body, loads)
+        if observed:
             spill()
-            out(0, f"_o = l[{operands[pc]}]")
-            out(0, "if _o is None:")
-            throw(last, _NPE, repr(f"getfield {q}"), rel=1)
-            out(0, "try:")
-            out(1, f"s{d} = _o.fields[{q!r}]")
-            out(0, "except (KeyError, AttributeError):")
-            out(1, 'raise NoSuchFieldError(f"{_o!r} has no field '
-                   f'{q}")')
-            if san_on:
-                out(0, f"frame.pc = {last}")
-                out(0, f"SAN.read_field(thread, _o, {q!r})")
-        else:  # load_branch
-            spill()
-            tmpl, pops = _COND[ops[last]]
-            if pops == 1:
-                cond = tmpl.format(a=_load_expr(pc))
-            else:
-                cond = tmpl.format(a=f"s{d - 1}", b=_load_expr(pc))
-            target = operands[last]
-            out(0, f"if {cond}:")
-            if sched_on and target <= last:
-                safepoint_backedge(target, rel=1)
-            out(1, f"b = {bid[target]}")
-            out(1, "continue")
+        emit(body)
         return True
 
     fallthrough = False

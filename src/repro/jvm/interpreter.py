@@ -18,28 +18,21 @@ The dispatch loop is written for host throughput, under one hard rule:
 **wall-clock optimizations must leave simulated cycle accounting
 bit-identical.**  Concretely:
 
-* The loop dispatches over pre-decoded per-method opcode/operand tuples
-  (:class:`~repro.jvm.classloader.LoadedMethod` ``ops``/``operands``)
-  with plain-int comparisons ordered by measured dynamic frequency, and
-  keeps all loop state in function locals (no closures, so no cell
-  variables on the hot path).
-* Constant-pool operands are **quickened**: the first execution of a
-  ``GETFIELD``/``PUTFIELD``/``GETSTATIC``/``PUTSTATIC``/``INVOKE*``/
-  ``NEW``/``LDC``/``CHECKCAST``/``INSTANCEOF`` site resolves through the
-  constant pool, class loader, and method tables, then parks the result
-  on the instruction (``Instruction.quick``); later executions reuse it.
-  ``INVOKEVIRTUAL`` additionally keeps a polymorphic inline cache keyed
-  by receiver class (identity fast path on the first entry, up to
-  ``JitPolicy.pic_depth`` entries, megamorphic fallback to the class's
-  memoized method table — see :meth:`Interpreter._pic_miss`).  Classes
-  are immutable after link, so no invalidation is ever needed.
-* Resolution work (pool lookups, ``loader.load`` of already-loaded
-  classes, method-table walks) charges **zero** simulated cycles in the
-  cost model, so skipping it on cache hits cannot change any simulated
-  number.  Every ``flush()`` boundary of the original interpreter is
-  preserved verbatim — including on cache hits — so the *sequence* of
-  ``thread.charge`` calls (observable by host-side samplers) is
-  unchanged, not just the totals.
+* The loop (``Interpreter._run``) is generated at import from the
+  opcode fragments of :mod:`repro.jit.opdefs`, which the template tier
+  renders too.  It dispatches over pre-decoded per-method opcode/operand
+  tuples (:class:`~repro.jvm.classloader.LoadedMethod` ``ops``/
+  ``operands``) with plain-int comparisons ordered by measured dynamic
+  frequency, and keeps all loop state in function locals.
+* Constant-pool operands are **quickened**: a site's first execution
+  resolves through the constant pool, class loader, and method tables
+  and parks the result on the instruction (``Instruction.quick``);
+  ``INVOKEVIRTUAL`` also keeps a polymorphic inline cache (see
+  :meth:`Interpreter._pic_miss`).  Classes are immutable after link, so
+  no invalidation is ever needed.  Resolution charges **zero**
+  simulated cycles, and every ``FLUSH`` happens on cache hits too, so
+  the *sequence* of ``thread.charge`` calls (observable by host-side
+  samplers) is unchanged, not just the totals.
 
 Cycle accounting
 ----------------
@@ -65,10 +58,10 @@ as the thread's uncaught exception.
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional
+import re
+from typing import List, Optional, Tuple
 
-from repro.bytecode.opcodes import ArrayKind, Op
+from repro.bytecode.opcodes import SPECS, Op
 from repro.classfile.constant_pool import (
     CpClass,
     CpFieldRef,
@@ -86,93 +79,7 @@ from repro.errors import (
 )
 from repro.jvm.costmodel import ChargeTag
 from repro.jvm.frame import Frame
-from repro.jvm.values import NULL, JArray, JObject, wrap_int32
-
-_THROWABLE = "java.lang.Throwable"
-_NPE = "java.lang.NullPointerException"
-_AIOOBE = "java.lang.ArrayIndexOutOfBoundsException"
-_ARITH = "java.lang.ArithmeticException"
-_CCE = "java.lang.ClassCastException"
-_NASE = "java.lang.NegativeArraySizeException"
-_IMSE = "java.lang.IllegalMonitorStateException"
-
-# Opcodes as plain ints: int equality against a local is the cheapest
-# comparison the dispatch loop can make (enum attribute access would be
-# a global + attribute load per test).
-_NOP = int(Op.NOP)
-_ICONST = int(Op.ICONST)
-_LDC = int(Op.LDC)
-_ACONST_NULL = int(Op.ACONST_NULL)
-_ILOAD = int(Op.ILOAD)
-_ISTORE = int(Op.ISTORE)
-_ALOAD = int(Op.ALOAD)
-_ASTORE = int(Op.ASTORE)
-_IINC = int(Op.IINC)
-_POP = int(Op.POP)
-_DUP = int(Op.DUP)
-_DUP_X1 = int(Op.DUP_X1)
-_SWAP = int(Op.SWAP)
-_IADD = int(Op.IADD)
-_ISUB = int(Op.ISUB)
-_IMUL = int(Op.IMUL)
-_IDIV = int(Op.IDIV)
-_IREM = int(Op.IREM)
-_INEG = int(Op.INEG)
-_ISHL = int(Op.ISHL)
-_ISHR = int(Op.ISHR)
-_IUSHR = int(Op.IUSHR)
-_IAND = int(Op.IAND)
-_IOR = int(Op.IOR)
-_IXOR = int(Op.IXOR)
-_FDIV = int(Op.FDIV)
-_I2F = int(Op.I2F)
-_F2I = int(Op.F2I)
-_FCMP = int(Op.FCMP)
-_GOTO = int(Op.GOTO)
-_IFEQ = int(Op.IFEQ)
-_IFNE = int(Op.IFNE)
-_IFLT = int(Op.IFLT)
-_IFLE = int(Op.IFLE)
-_IFGT = int(Op.IFGT)
-_IFGE = int(Op.IFGE)
-_IF_ICMPEQ = int(Op.IF_ICMPEQ)
-_IF_ICMPNE = int(Op.IF_ICMPNE)
-_IF_ICMPLT = int(Op.IF_ICMPLT)
-_IF_ICMPLE = int(Op.IF_ICMPLE)
-_IF_ICMPGT = int(Op.IF_ICMPGT)
-_IF_ICMPGE = int(Op.IF_ICMPGE)
-_IFNULL = int(Op.IFNULL)
-_IFNONNULL = int(Op.IFNONNULL)
-_IF_ACMPEQ = int(Op.IF_ACMPEQ)
-_IF_ACMPNE = int(Op.IF_ACMPNE)
-_NEW = int(Op.NEW)
-_GETFIELD = int(Op.GETFIELD)
-_PUTFIELD = int(Op.PUTFIELD)
-_GETSTATIC = int(Op.GETSTATIC)
-_PUTSTATIC = int(Op.PUTSTATIC)
-_INSTANCEOF = int(Op.INSTANCEOF)
-_CHECKCAST = int(Op.CHECKCAST)
-_NEWARRAY = int(Op.NEWARRAY)
-_IALOAD = int(Op.IALOAD)
-_IASTORE = int(Op.IASTORE)
-_AALOAD = int(Op.AALOAD)
-_AASTORE = int(Op.AASTORE)
-_ARRAYLENGTH = int(Op.ARRAYLENGTH)
-_INVOKESTATIC = int(Op.INVOKESTATIC)
-_INVOKEVIRTUAL = int(Op.INVOKEVIRTUAL)
-_INVOKESPECIAL = int(Op.INVOKESPECIAL)
-_RETURN = int(Op.RETURN)
-_IRETURN = int(Op.IRETURN)
-_ARETURN = int(Op.ARETURN)
-_ATHROW = int(Op.ATHROW)
-_MONITORENTER = int(Op.MONITORENTER)
-_MONITOREXIT = int(Op.MONITOREXIT)
-
-_INT_MAX = 2147483647
-_INT_MIN_ = -2147483648
-_U32 = 4294967295
-_BIAS = 2147483648
-
+from repro.jvm.values import JObject
 
 class Unwind(Exception):
     """A Java exception crossing a host (native/JNI) boundary."""
@@ -407,793 +314,6 @@ class Interpreter:
             vm.pic_poly_to_mega += 1
         return resolved
 
-    # -- the interpreter loop --------------------------------------------------------
-
-    def _run(self, thread, base: int):  # noqa: C901 - the dispatch loop
-        vm = self._vm
-        loader = vm.loader
-        heap = vm.heap
-        jit = vm.jit
-        jvmti = vm.jvmti
-        frames = thread.frames
-        charge = thread.charge
-        tag_bytecode = ChargeTag.BYTECODE
-        # preemptive scheduler, or None under the sequential model;
-        # hoisted so safepoint checks are one local load
-        sched = vm.scheduler
-        # race sanitizer (host-side shadow state), or None when off
-        san = vm.sanitizer
-        # on-stack replacement gate, hoisted for the backedge hot path
-        osr_on = jit.enabled and jit.policy.osr
-
-        # opcode constants as fast locals (module globals cost a dict
-        # lookup per comparison; locals are array slots)
-        ILOAD = _ILOAD
-        ALOAD = _ALOAD
-        ICONST = _ICONST
-        ISTORE = _ISTORE
-        ASTORE = _ASTORE
-        IINC = _IINC
-        GETFIELD = _GETFIELD
-        PUTFIELD = _PUTFIELD
-        IALOAD = _IALOAD
-        AALOAD = _AALOAD
-        IASTORE = _IASTORE
-        AASTORE = _AASTORE
-        IAND = _IAND
-        IOR = _IOR
-        IXOR = _IXOR
-        IADD = _IADD
-        ISUB = _ISUB
-        IMUL = _IMUL
-        IDIV = _IDIV
-        IREM = _IREM
-        INEG = _INEG
-        ISHL = _ISHL
-        ISHR = _ISHR
-        IUSHR = _IUSHR
-        FDIV = _FDIV
-        I2F = _I2F
-        F2I = _F2I
-        FCMP = _FCMP
-        GOTO = _GOTO
-        IFEQ = _IFEQ
-        IFNE = _IFNE
-        IFLT = _IFLT
-        IFLE = _IFLE
-        IFGT = _IFGT
-        IFGE = _IFGE
-        IF_ICMPEQ = _IF_ICMPEQ
-        IF_ICMPNE = _IF_ICMPNE
-        IF_ICMPLT = _IF_ICMPLT
-        IF_ICMPLE = _IF_ICMPLE
-        IF_ICMPGT = _IF_ICMPGT
-        IF_ICMPGE = _IF_ICMPGE
-        IFNULL = _IFNULL
-        IFNONNULL = _IFNONNULL
-        IF_ACMPEQ = _IF_ACMPEQ
-        LDC = _LDC
-        ICONST_NULL = _ACONST_NULL
-        POP_ = _POP
-        DUP = _DUP
-        DUP_X1 = _DUP_X1
-        SWAP = _SWAP
-        NEW = _NEW
-        GETSTATIC = _GETSTATIC
-        PUTSTATIC = _PUTSTATIC
-        INSTANCEOF = _INSTANCEOF
-        CHECKCAST = _CHECKCAST
-        NEWARRAY = _NEWARRAY
-        ARRAYLENGTH = _ARRAYLENGTH
-        INVOKESTATIC = _INVOKESTATIC
-        RETURN = _RETURN
-        ATHROW = _ATHROW
-        MONITORENTER = _MONITORENTER
-        NOP = _NOP
-        INT_MAX = _INT_MAX
-        INT_MIN = _INT_MIN_
-        U32 = _U32
-        BIAS = _BIAS
-        AK_INT = ArrayKind.INT
-
-        while True:
-            # (re)load per-frame state; one outer iteration per
-            # call/return/exception boundary
-            frame = frames[-1]
-            method = frame.method
-            # tier dispatch: a fresh activation of a method with an
-            # installed template runs specialized Python instead of the
-            # dispatch loop.  Mid-method frames (handler resumption,
-            # deopt restarts, returns into a caller) always interpret.
-            tfunc = method.template
-            if tfunc is not None and frame.pc == 0 and not frame.stack \
-                    and not frame.deopted:
-                jit.template_entries += 1
-                outcome = tfunc(self, thread, frame)
-                k = outcome[0]
-                if k == 1:
-                    continue  # deopt: reinterpret this activation
-                if k == 0:  # return: accounting flushed, MethodExit fired
-                    frames.pop()
-                    if len(frames) == base:
-                        return outcome[2]
-                    caller = frames[-1]
-                    caller.pc += 1
-                    if outcome[1]:
-                        caller.stack.append(outcome[2])
-                    continue
-                # k == 2: thrown — frame.pc synced and accounting
-                # flushed by the template; unwind like the except arm
-                self._dispatch_exception(thread, frames, base,
-                                         outcome[1])
-                continue
-            code = method.info.code
-            ops = method.ops
-            operands = method.operands
-            costs = method.active_costs
-            stack = frame.stack
-            locals_ = frame.locals
-            push = stack.append
-            pop = stack.pop
-            pc = frame.pc
-            pending = 0
-            icount = 0
-            try:
-                while True:
-                    op = ops[pc]
-                    pending += costs[pc]
-                    icount += 1
-
-                    if op == ILOAD or op == ALOAD:
-                        push(locals_[operands[pc]])
-                        pc += 1
-                    elif op == ICONST:
-                        push(operands[pc])
-                        pc += 1
-                    elif op == ISTORE or op == ASTORE:
-                        locals_[operands[pc]] = pop()
-                        pc += 1
-                    elif 0x50 <= op <= 0x60:  # branch family
-                        if op == GOTO:
-                            taken = True
-                        elif op == IF_ICMPGE:
-                            b = pop()
-                            taken = pop() >= b
-                        elif op == IF_ICMPNE:
-                            b = pop()
-                            taken = pop() != b
-                        elif op == IFNE:
-                            taken = pop() != 0
-                        elif op == IF_ICMPLT:
-                            b = pop()
-                            taken = pop() < b
-                        elif op == IF_ICMPLE:
-                            b = pop()
-                            taken = pop() <= b
-                        elif op == IFEQ:
-                            taken = pop() == 0
-                        elif op == IFGE:
-                            taken = pop() >= 0
-                        elif op == IFLT:
-                            taken = pop() < 0
-                        elif op == IFLE:
-                            taken = pop() <= 0
-                        elif op == IFGT:
-                            taken = pop() > 0
-                        elif op == IF_ICMPEQ:
-                            b = pop()
-                            taken = pop() == b
-                        elif op == IF_ICMPGT:
-                            b = pop()
-                            taken = pop() > b
-                        elif op == IFNULL:
-                            taken = pop() is NULL
-                        elif op == IFNONNULL:
-                            taken = pop() is not NULL
-                        elif op == IF_ACMPEQ:
-                            b = pop()
-                            taken = pop() is b
-                        else:  # IF_ACMPNE
-                            b = pop()
-                            taken = pop() is not b
-                        if taken:
-                            target = operands[pc]
-                            if target <= pc:  # backedge: JIT + safepoint
-                                if not method.compiled:
-                                    method.backedge_count += 1
-                                    if (jit.enabled
-                                            and method.backedge_count >=
-                                            jit.policy.backedge_threshold):
-                                        if pending:
-                                            charge(pending, tag_bytecode)
-                                            pending = 0
-                                        if icount:
-                                            vm.instructions_retired += \
-                                                icount
-                                            icount = 0
-                                        jit.compile(thread, method)
-                                        costs = method.active_costs
-                                if sched is not None and \
-                                        thread.cycles_total + pending >= \
-                                        thread.preempt_at:
-                                    frame.pc = target
-                                    if pending:
-                                        charge(pending, tag_bytecode)
-                                        pending = 0
-                                    if icount:
-                                        vm.instructions_retired += icount
-                                        icount = 0
-                                    sched.preempt(thread)
-                                # on-stack replacement: a template with
-                                # an entry stub for this loop header
-                                # takes over the live frame mid-method.
-                                # The flush splits one pending charge in
-                                # two; totals and safepoint decisions
-                                # (cycles_total + pending at instruction
-                                # positions) are unchanged, so goldens
-                                # stay bit-identical.
-                                # A deopted frame may re-enter: deopts
-                                # heal (the interpreter quickens the
-                                # cold site before the next backedge),
-                                # and a template that keeps deopting is
-                                # invalidated at the disable threshold,
-                                # which clears osr_map and ends the
-                                # cycle — ping-pong is bounded.
-                                osr_map = method.osr_map
-                                if osr_map is not None and osr_on \
-                                        and osr_map.get(target) == \
-                                        len(stack):
-                                    frame.pc = target
-                                    if pending:
-                                        charge(pending, tag_bytecode)
-                                        pending = 0
-                                    if icount:
-                                        vm.instructions_retired += icount
-                                        icount = 0
-                                    method.osr_entry_count += 1
-                                    jit.osr_entries += 1
-                                    outcome = method.template(
-                                        self, thread, frame, target)
-                                    k = outcome[0]
-                                    if k == 0:
-                                        # templated activation returned
-                                        # (accounting flushed,
-                                        # MethodExit fired)
-                                        frames.pop()
-                                        if len(frames) == base:
-                                            return outcome[2]
-                                        caller = frames[-1]
-                                        caller.pc += 1
-                                        if outcome[1]:
-                                            caller.stack.append(
-                                                outcome[2])
-                                    elif k == 2:
-                                        self._dispatch_exception(
-                                            thread, frames, base,
-                                            outcome[1])
-                                    # k == 1 (deopt): the frame was
-                                    # reconstructed and marked deopted;
-                                    # the outer loop reinterprets it
-                                    break
-                            pc = target
-                        else:
-                            pc += 1
-                    elif op == GETFIELD:
-                        ins = code[pc]
-                        name = ins.quick
-                        if name is None:
-                            name = method.owner.constant_pool.get_typed(
-                                operands[pc], CpFieldRef).field_name
-                            ins.quick = name
-                        obj = pop()
-                        if obj is NULL:
-                            raise _Throw(None, _NPE, f"getfield {name}")
-                        try:
-                            push(obj.fields[name])
-                        except (KeyError, AttributeError):
-                            raise NoSuchFieldError(
-                                f"{obj!r} has no field {name}")
-                        if san is not None:
-                            frame.pc = pc  # accurate race stacks
-                            san.read_field(thread, obj, name)
-                        pc += 1
-                    elif op == IALOAD or op == AALOAD:
-                        index = pop()
-                        array = pop()
-                        if array is NULL:
-                            raise _Throw(None, _NPE, "array load")
-                        data = array.data
-                        if index < 0 or index >= len(data):
-                            raise _Throw(None, _AIOOBE, str(index))
-                        push(data[index])
-                        pc += 1
-                    elif op == IAND:
-                        b = pop()
-                        r = stack[-1] & b
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == IADD:
-                        b = pop()
-                        a = stack[-1]
-                        if type(b) is int and type(a) is int:
-                            r = a + b
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            stack[-1] = r
-                        else:
-                            stack[-1] = a + b
-                        pc += 1
-                    elif op == IINC:
-                        idx, delta = operands[pc]
-                        r = locals_[idx] + delta
-                        if type(r) is int:
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            locals_[idx] = r
-                        else:
-                            locals_[idx] = wrap_int32(r)
-                        pc += 1
-                    elif 0x93 <= op <= 0x95:  # RETURN / IRETURN / ARETURN
-                        has_result = op != RETURN
-                        result = pop() if has_result else None
-                        if pending:
-                            charge(pending, tag_bytecode)
-                            pending = 0
-                        if icount:
-                            vm.instructions_retired += icount
-                            icount = 0
-                        if jvmti.method_exit_enabled:
-                            jvmti.dispatch_method_exit(thread, method,
-                                                       False)
-                        frames.pop()
-                        if len(frames) == base:
-                            return result
-                        caller = frames[-1]
-                        # resume the caller after its invoke instruction
-                        caller.pc += 1
-                        if has_result:
-                            caller.stack.append(result)
-                        break
-                    elif 0x90 <= op <= 0x92:  # INVOKE family
-                        ins = code[pc]
-                        q = ins.quick
-                        # the frame stays at the invoke pc so
-                        # exception-table ranges cover in-flight calls;
-                        # RETURN advances past it
-                        frame.pc = pc
-                        if pending:
-                            charge(pending, tag_bytecode)
-                            pending = 0
-                        if icount:
-                            vm.instructions_retired += icount
-                            icount = 0
-                        if sched is not None and \
-                                thread.cycles_total >= thread.preempt_at:
-                            sched.preempt(thread)
-                        if q is None:
-                            ref = method.owner.constant_pool.get_typed(
-                                operands[pc], CpMethodRef)
-                            target_class = loader.load(ref.class_name)
-                            resolved = target_class.resolve_method(
-                                ref.method_name, ref.descriptor)
-                            if resolved is None:
-                                raise NoSuchMethodError(
-                                    f"{ref.class_name}.{ref.method_name}"
-                                    f"{ref.descriptor}")
-                            if op != INVOKESTATIC and \
-                                    resolved.info.is_static:
-                                raise NoSuchMethodError(
-                                    f"instance invoke of static "
-                                    f"{resolved.qualified_name}")
-                            if op == INVOKESTATIC and \
-                                    not resolved.info.is_static:
-                                raise NoSuchMethodError(
-                                    f"static invoke of instance "
-                                    f"{resolved.qualified_name}")
-                            # [resolved, arg slots, name, descriptor,
-                            #  PIC entry-0 class, PIC entry-0 method,
-                            #  PIC overflow classes, PIC overflow
-                            #  methods] — see _pic_miss for the cache
-                            # state machine on slots 6/7
-                            q = [resolved, resolved.info.arg_slots,
-                                 ref.method_name, ref.descriptor,
-                                 None, None, None, None]
-                            ins.quick = q
-                        resolved = q[0]
-                        n_args = q[1]
-                        if n_args:
-                            args = stack[-n_args:]
-                            del stack[-n_args:]
-                        else:
-                            args = []
-                        if op != INVOKESTATIC:
-                            receiver = args[0]
-                            if receiver is NULL:
-                                raise _Throw(
-                                    None, _NPE,
-                                    f"invoke {q[2]} on null")
-                            if op == _INVOKEVIRTUAL:
-                                receiver_class = getattr(
-                                    receiver, "jclass", None)
-                                if receiver_class is None:  # array
-                                    receiver_class = loader.load(
-                                        "java.lang.Object")
-                                if receiver_class is q[4]:
-                                    resolved = q[5]
-                                    vm.ic_hits += 1
-                                else:  # PIC slow path (shared helper)
-                                    resolved = self._pic_miss(
-                                        q, receiver_class)
-                        if resolved.is_native:
-                            try:
-                                result = self._invoke_native(
-                                    thread, resolved, args)
-                            except Unwind as unwind:
-                                raise _Throw(unwind.jobject) from None
-                            if resolved.info.returns_value:
-                                push(result)
-                            pc += 1
-                        else:
-                            self._enter_bytecode_method(
-                                thread, resolved, args)
-                            break
-                    elif op == IMUL:
-                        b = pop()
-                        a = stack[-1]
-                        if type(b) is int and type(a) is int:
-                            r = a * b
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            stack[-1] = r
-                        else:
-                            stack[-1] = a * b
-                        pc += 1
-                    elif op == ISHR:
-                        b = pop()
-                        r = stack[-1] >> (b & 31)
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == ISHL:
-                        b = pop()
-                        r = stack[-1] << (b & 31)
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == IXOR:
-                        b = pop()
-                        r = stack[-1] ^ b
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == IASTORE or op == AASTORE:
-                        value = pop()
-                        index = pop()
-                        array = pop()
-                        if array is NULL:
-                            raise _Throw(None, _NPE, "array store")
-                        data = array.data
-                        if index < 0 or index >= len(data):
-                            raise _Throw(None, _AIOOBE, str(index))
-                        if array.kind is AK_INT and type(value) is int \
-                                and INT_MIN <= value <= INT_MAX:
-                            data[index] = value
-                        else:
-                            data[index] = array.normalize(value)
-                        pc += 1
-                    elif op == ISUB:
-                        b = pop()
-                        a = stack[-1]
-                        if type(b) is int and type(a) is int:
-                            r = a - b
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            stack[-1] = r
-                        else:
-                            stack[-1] = a - b
-                        pc += 1
-                    elif op == LDC:
-                        ins = code[pc]
-                        q = ins.quick
-                        if q is None:
-                            entry = method.owner.constant_pool.get(
-                                operands[pc])
-                            te = type(entry)
-                            if te is CpInt or te is CpFloat:
-                                q = (False, entry.value)
-                            elif te is CpString:
-                                frame.pc = pc
-                                if pending:
-                                    charge(pending, tag_bytecode)
-                                    pending = 0
-                                if icount:
-                                    vm.instructions_retired += icount
-                                    icount = 0
-                                q = (True, vm.intern_string(entry.value))
-                            else:
-                                raise VMError(
-                                    f"ldc of unsupported constant "
-                                    f"{entry!r}")
-                            ins.quick = q
-                        if q[0]:  # string: interning is a VM boundary
-                            frame.pc = pc
-                            if pending:
-                                charge(pending, tag_bytecode)
-                                pending = 0
-                            if icount:
-                                vm.instructions_retired += icount
-                                icount = 0
-                        push(q[1])
-                        pc += 1
-                    elif op == PUTFIELD:
-                        ins = code[pc]
-                        name = ins.quick
-                        if name is None:
-                            name = method.owner.constant_pool.get_typed(
-                                operands[pc], CpFieldRef).field_name
-                            ins.quick = name
-                        value = pop()
-                        obj = pop()
-                        if obj is NULL:
-                            raise _Throw(None, _NPE, f"putfield {name}")
-                        if name not in obj.fields:
-                            raise NoSuchFieldError(
-                                f"{obj!r} has no field {name}")
-                        obj.fields[name] = value
-                        if san is not None:
-                            frame.pc = pc  # accurate race stacks
-                            san.write_field(thread, obj, name)
-                        pc += 1
-                    elif op == GETSTATIC or op == PUTSTATIC:
-                        ins = code[pc]
-                        q = ins.quick
-                        frame.pc = pc
-                        if pending:
-                            charge(pending, tag_bytecode)
-                            pending = 0
-                        if icount:
-                            vm.instructions_retired += icount
-                            icount = 0
-                        if q is None:
-                            ref = method.owner.constant_pool.get_typed(
-                                operands[pc], CpFieldRef)
-                            cls = loader.load(ref.class_name)
-                            holder = cls.resolve_static_holder(
-                                ref.field_name)
-                            if holder is None:
-                                raise NoSuchFieldError(
-                                    f"{ref.class_name} has no static "
-                                    f"{ref.field_name}")
-                            q = (holder, ref.field_name)
-                            ins.quick = q
-                        if op == GETSTATIC:
-                            push(q[0].statics[q[1]])
-                            if san is not None:
-                                san.read_static(thread, q[0], q[1])
-                        else:
-                            q[0].statics[q[1]] = pop()
-                            if san is not None:
-                                san.write_static(thread, q[0], q[1])
-                        pc += 1
-                    elif op == IDIV or op == IREM:
-                        b = pop()
-                        a = pop()
-                        if type(a) is int and type(b) is int:
-                            if b == 0:
-                                raise _Throw(None, _ARITH, "/ by zero")
-                            quotient = abs(a) // abs(b)
-                            if (a < 0) != (b < 0):
-                                quotient = -quotient
-                            if op == IDIV:
-                                r = quotient
-                            else:
-                                r = a - quotient * b
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            push(r)
-                        else:
-                            if b == 0:
-                                raise _Throw(None, _ARITH, "/ by zero")
-                            push(a / b if op == IDIV else a % b)
-                        pc += 1
-                    elif op == FDIV:
-                        b = pop()
-                        a = pop()
-                        if b == 0:
-                            # IEEE-754 (JVM fdiv): x/±0.0 is ±Infinity
-                            # with the XOR of the operand signs;
-                            # 0.0/0.0 is NaN.  Never ArithmeticException.
-                            if a == 0:
-                                push(math.nan)
-                            else:
-                                sign = (math.copysign(1.0, float(a))
-                                        * math.copysign(1.0, float(b)))
-                                push(math.inf if sign > 0 else -math.inf)
-                        else:
-                            push(a / b)
-                        pc += 1
-                    elif op == INEG:
-                        v = stack[-1]
-                        if type(v) is int:
-                            r = -v
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            stack[-1] = r
-                        else:
-                            stack[-1] = -v
-                        pc += 1
-                    elif op == IUSHR:
-                        b = pop()
-                        r = (stack[-1] & U32) >> (b & 31)
-                        if r > INT_MAX:
-                            r -= 4294967296
-                        stack[-1] = r
-                        pc += 1
-                    elif op == IOR:
-                        b = pop()
-                        r = stack[-1] | b
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == I2F:
-                        stack[-1] = float(stack[-1])
-                        pc += 1
-                    elif op == F2I:
-                        r = int(stack[-1])
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == FCMP:
-                        b = pop()
-                        a = pop()
-                        push(-1 if a < b else (1 if a > b else 0))
-                        pc += 1
-                    elif op == POP_:
-                        pop()
-                        pc += 1
-                    elif op == DUP:
-                        push(stack[-1])
-                        pc += 1
-                    elif op == DUP_X1:
-                        stack.insert(-2, stack[-1])
-                        pc += 1
-                    elif op == SWAP:
-                        stack[-1], stack[-2] = stack[-2], stack[-1]
-                        pc += 1
-                    elif op == ICONST_NULL:
-                        push(NULL)
-                        pc += 1
-                    elif op == NEW:
-                        ins = code[pc]
-                        cls = ins.quick
-                        frame.pc = pc
-                        if pending:
-                            charge(pending, tag_bytecode)
-                            pending = 0
-                        if icount:
-                            vm.instructions_retired += icount
-                            icount = 0
-                        if cls is None:
-                            ref = method.owner.constant_pool.get_typed(
-                                operands[pc], CpClass)
-                            cls = loader.load(ref.name)
-                            ins.quick = cls
-                        push(heap.alloc_object(cls))
-                        pc += 1
-                    elif op == NEWARRAY:
-                        length = pop()
-                        if length < 0:
-                            raise _Throw(None, _NASE, str(length))
-                        push(heap.alloc_array(operands[pc], length))
-                        pc += 1
-                    elif op == ARRAYLENGTH:
-                        array = pop()
-                        if array is NULL:
-                            raise _Throw(None, _NPE, "arraylength")
-                        push(len(array.data))
-                        pc += 1
-                    elif op == INSTANCEOF:
-                        ins = code[pc]
-                        cname = ins.quick
-                        if cname is None:
-                            cname = method.owner.constant_pool.get_typed(
-                                operands[pc], CpClass).name
-                            ins.quick = cname
-                        obj = pop()
-                        if obj is NULL:
-                            push(0)
-                        elif isinstance(obj, JArray):
-                            push(1 if cname == "java.lang.Object" else 0)
-                        else:
-                            push(1 if obj.jclass.is_subclass_of(cname)
-                                 else 0)
-                        pc += 1
-                    elif op == CHECKCAST:
-                        ins = code[pc]
-                        cname = ins.quick
-                        if cname is None:
-                            cname = method.owner.constant_pool.get_typed(
-                                operands[pc], CpClass).name
-                            ins.quick = cname
-                        obj = stack[-1]
-                        if obj is not NULL and \
-                                not isinstance(obj, JArray) and \
-                                not obj.jclass.is_subclass_of(cname):
-                            raise _Throw(
-                                None, _CCE,
-                                f"{obj.class_name} -> {cname}")
-                        pc += 1
-                    elif op == ATHROW:
-                        exc_obj = pop()
-                        if exc_obj is NULL:
-                            raise _Throw(None, _NPE, "throw null")
-                        raise _Throw(exc_obj)
-                    elif op == MONITORENTER:
-                        obj = pop()
-                        if obj is NULL:
-                            raise _Throw(None, _NPE, "monitorenter")
-                        if obj.monitor_owner is None or \
-                                obj.monitor_owner is thread:
-                            obj.monitor_owner = thread
-                            obj.monitor_count += 1
-                            if san is not None:
-                                san.on_acquire(thread, obj)
-                        elif sched is not None:
-                            # contended: block until the owner hands
-                            # the monitor over (charges are flushed —
-                            # the thread parks mid-opcode)
-                            frame.pc = pc
-                            if pending:
-                                charge(pending, tag_bytecode)
-                                pending = 0
-                            if icount:
-                                vm.instructions_retired += icount
-                                icount = 0
-                            sched.acquire_contended(thread, obj)
-                        else:
-                            raise self._sequential_monitor_deadlock(
-                                thread, obj)
-                        pc += 1
-                    elif op == _MONITOREXIT:
-                        obj = pop()
-                        if obj is NULL:
-                            raise _Throw(None, _NPE, "monitorexit")
-                        if obj.monitor_owner is not thread or \
-                                obj.monitor_count <= 0:
-                            raise _Throw(None, _IMSE, "not monitor owner")
-                        obj.monitor_count -= 1
-                        if obj.monitor_count == 0:
-                            obj.monitor_owner = None
-                            if san is not None:
-                                san.on_release(thread, obj)
-                            if sched is not None and obj.monitor_waiters:
-                                sched.release_monitor(thread, obj)
-                        pc += 1
-                    elif op == NOP:
-                        pc += 1
-                    else:  # pragma: no cover - exhaustive over the ISA
-                        raise VMError(f"unhandled opcode {Op(op)!r}")
-            except _Throw as signal:
-                frame.pc = pc
-                exc_obj = signal.exc_obj
-                if exc_obj is None:
-                    exc_obj = self.synthesize_exception(
-                        thread, signal.class_name, signal.message)
-                if pending:
-                    charge(pending, tag_bytecode)
-                if icount:
-                    vm.instructions_retired += icount
-                self._dispatch_exception(thread, frames, base, exc_obj)
-                # fall through to the outer loop, which reloads the
-                # handler frame's state (pc set by the dispatcher)
-
     # -- monitor support --------------------------------------------------------------
 
     def _sequential_monitor_deadlock(self, thread, obj) -> DeadlockError:
@@ -1241,3 +361,459 @@ class Interpreter:
                         jclass.is_subclass_of(entry.catch_type):
                     return entry.handler
         return None
+
+
+# -- the generated dispatch loop ---------------------------------------------
+#
+# ``Interpreter._run`` is generated once, here, from the opcode fragments
+# of repro.jit.opdefs.  Imported late: importing the jit package imports
+# this module (for Unwind) first.
+
+from repro.jit.opdefs import FRAGMENT_GLOBALS, OPDEFS, render  # noqa: E402
+
+#: If-chain order: measured dynamic frequency, hottest first.  A tuple
+#: is a family of contiguous opcodes tested by range, whose members share
+#: a control-transfer skeleton (branch, return, invoke).
+_ORDER = (
+    Op.ILOAD, Op.ALOAD, Op.ICONST, Op.ISTORE, Op.ASTORE,
+    (Op.GOTO, Op.IF_ICMPGE, Op.IF_ICMPNE, Op.IFNE, Op.IF_ICMPLT,
+     Op.IF_ICMPLE, Op.IFEQ, Op.IFGE, Op.IFLT, Op.IFLE, Op.IFGT,
+     Op.IF_ICMPEQ, Op.IF_ICMPGT, Op.IFNULL, Op.IFNONNULL, Op.IF_ACMPEQ,
+     Op.IF_ACMPNE),
+    Op.GETFIELD, Op.IALOAD, Op.AALOAD, Op.IAND, Op.IADD, Op.IINC,
+    (Op.RETURN, Op.IRETURN, Op.ARETURN),
+    (Op.INVOKESTATIC, Op.INVOKEVIRTUAL, Op.INVOKESPECIAL),
+    Op.IMUL, Op.ISHR, Op.ISHL, Op.IXOR, Op.IASTORE, Op.AASTORE, Op.ISUB,
+    Op.LDC, Op.PUTFIELD, Op.GETSTATIC, Op.PUTSTATIC, Op.IDIV, Op.IREM,
+    Op.FDIV, Op.INEG, Op.IUSHR, Op.IOR, Op.I2F, Op.F2I, Op.FCMP, Op.POP,
+    Op.DUP, Op.DUP_X1, Op.SWAP, Op.ACONST_NULL, Op.NEW, Op.NEWARRAY,
+    Op.ARRAYLENGTH, Op.INSTANCEOF, Op.CHECKCAST, Op.ATHROW,
+    Op.MONITORENTER, Op.MONITOREXIT, Op.NOP,
+)
+
+_RUN = """\
+def _run(self, thread, base):
+    interp = self
+    vm = self._vm
+    loader = vm.loader
+    heap = vm.heap
+    jit = vm.jit
+    jvmti = vm.jvmti
+    frames = thread.frames
+    charge = thread.charge
+    CT = ChargeTag.BYTECODE
+    # preemptive scheduler, or None under the sequential model;
+    # hoisted so safepoint checks are one local load
+    SP = vm.scheduler
+    # race sanitizer (host-side shadow state), or None when off
+    SAN = vm.sanitizer
+    # on-stack replacement gate, hoisted for the backedge hot path
+    osr_on = jit.enabled and jit.policy.osr
+    # opcode constants as fast locals
+#CONSTANTS
+    while True:
+        # (re)load per-frame state; one outer iteration per
+        # call/return/exception boundary
+        frame = frames[-1]
+        method = frame.method
+        # tier dispatch: a fresh activation of a method with an
+        # installed template runs specialized Python instead of the
+        # dispatch loop.  Mid-method frames (handler resumption,
+        # deopt restarts, returns into a caller) always interpret.
+        tfunc = method.template
+        if tfunc is not None and frame.pc == 0 and not frame.stack \\
+                and not frame.deopted:
+            jit.template_entries += 1
+            outcome = tfunc(self, thread, frame)
+            k = outcome[0]
+            if k == 1:
+                continue  # deopt: reinterpret this activation
+            if k == 0:  # return: accounting flushed, MethodExit fired
+                _, _has, _res = outcome
+                #RETURN_TO_CALLER
+                continue
+            # k == 2: thrown -- frame.pc synced and accounting
+            # flushed by the template; unwind like the except arm
+            self._dispatch_exception(thread, frames, base, outcome[1])
+            continue
+        code = method.info.code
+        ops = method.ops
+        operands = method.operands
+        costs = method.active_costs
+        stack = frame.stack
+        l = frame.locals
+        push = stack.append
+        pop = stack.pop
+        pc = frame.pc
+        p = 0
+        n = 0
+        try:
+            while True:
+                op = ops[pc]
+                p += costs[pc]
+                n += 1
+#ARMS
+                else:  # pragma: no cover - exhaustive over the ISA
+                    raise VMError(f"unhandled opcode {Op(op)!r}")
+        except _Throw as signal:
+            frame.pc = pc
+            exc_obj = signal.exc_obj
+            if exc_obj is None:
+                exc_obj = self.synthesize_exception(
+                    thread, signal.class_name, signal.message)
+            if p:
+                charge(p, CT)
+            if n:
+                vm.instructions_retired += n
+            self._dispatch_exception(thread, frames, base, exc_obj)
+            # fall through to the outer loop, which reloads the
+            # handler frame's state (pc set by the dispatcher)
+"""
+
+#: Pending cycles and instructions made observable (``FLUSH``).
+_FLUSH = """\
+if p:
+    charge(p, CT)
+    p = 0
+if n:
+    vm.instructions_retired += n
+    n = 0
+"""
+
+_TAKEN = """\
+if taken:
+    target = operands[pc]
+    if target <= pc:  # backedge: JIT + safepoint
+        if not method.compiled:
+            method.backedge_count += 1
+            if (jit.enabled and method.backedge_count >=
+                    jit.policy.backedge_threshold):
+                #FLUSH
+                jit.compile(thread, method)
+                costs = method.active_costs
+        if SP is not None and \\
+                thread.cycles_total + p >= thread.preempt_at:
+            frame.pc = target
+            #FLUSH
+            SP.preempt(thread)
+        # on-stack replacement: a template with an entry stub for this
+        # loop header takes over the live frame mid-method.  The flush
+        # splits one pending charge in two; totals and safepoint
+        # decisions (cycles_total + p at instruction positions) are
+        # unchanged, so goldens stay bit-identical.  A deopted frame
+        # may re-enter: deopts heal (the interpreter quickens the cold
+        # site before the next backedge), and a template that keeps
+        # deopting is invalidated at the disable threshold, which
+        # clears osr_map and ends the cycle -- ping-pong is bounded.
+        osr_map = method.osr_map
+        if osr_map is not None and osr_on \\
+                and osr_map.get(target) == len(stack):
+            frame.pc = target
+            #FLUSH
+            method.osr_entry_count += 1
+            jit.osr_entries += 1
+            outcome = method.template(self, thread, frame, target)
+            k = outcome[0]
+            if k == 0:
+                # templated activation returned (accounting flushed,
+                # MethodExit fired)
+                _, _has, _res = outcome
+                #RETURN_TO_CALLER
+            elif k == 2:
+                self._dispatch_exception(thread, frames, base,
+                                         outcome[1])
+            # k == 1 (deopt): the frame was reconstructed and marked
+            # deopted; the outer loop reinterprets it
+            break
+    pc = target
+else:
+    pc += 1
+"""
+
+_RETURN = """\
+#FLUSH
+if jvmti.method_exit_enabled:
+    jvmti.dispatch_method_exit(thread, method, False)
+#RETURN_TO_CALLER
+break
+"""
+
+#: Pop the returning frame; leave the activation or resume the caller
+#: after its invoke instruction.
+_RETURN_TO_CALLER = """\
+frames.pop()
+if len(frames) == base:
+    return _res
+caller = frames[-1]
+caller.pc += 1
+if _has:
+    caller.stack.append(_res)
+"""
+
+# the frame stays at the invoke pc so exception-table ranges cover
+# in-flight calls; RETURN advances past it
+_INVOKE_HEAD = """\
+_ins = code[pc]
+_q = _ins.quick
+frame.pc = pc
+#FLUSH
+if SP is not None and thread.cycles_total >= thread.preempt_at:
+    SP.preempt(thread)
+"""
+
+_INVOKE_ARGS = """\
+_n = _q[1]
+if _n:
+    _args = stack[-_n:]
+    del stack[-_n:]
+else:
+    _args = []
+"""
+
+_INVOKE_CALL = """\
+if _m.is_native:
+    try:
+        _res = interp._invoke_native(thread, _m, _args)
+    except Unwind as _u:
+        raise _Throw(_u.jobject) from None
+    if _m.info.returns_value:
+        push(_res)
+    pc += 1
+else:
+    interp._enter_bytecode_method(thread, _m, _args)
+    break
+"""
+
+Rendered = List[Tuple[int, str]]
+
+
+def _text(source: str) -> Rendered:
+    """Skeleton text to rendered lines, splicing ``#FLUSH`` and
+    ``#RETURN_TO_CALLER``."""
+    out: Rendered = []
+    for line in source.splitlines():
+        text = line.strip()
+        level = (len(line) - len(line.lstrip())) // 4
+        if text in ("#FLUSH", "#RETURN_TO_CALLER"):
+            splice = _FLUSH if text == "#FLUSH" else _RETURN_TO_CALLER
+            out.extend((level + rel, t) for rel, t in _text(splice))
+        elif text:
+            out.append((level, text))
+    return out
+
+
+def _directive(kind: str, *args) -> Rendered:
+    if kind == "FLUSH":
+        return [(0, "frame.pc = pc")] + _text(_FLUSH)
+    if kind == "RAISE":
+        return [(0, f"raise _Throw({args[0]})")]
+    return [(0, f"raise _Throw(None, {args[0]!r}, {args[1]})")]
+
+
+_IDENTITY_BIND = re.compile(r"_(\w+) = \$(\w+)$")
+
+
+def _fragment(entry, source: List[str], extra=(),
+              stack: bool = True) -> Rendered:
+    """Render fragment lines onto the interpreter's list stack.
+
+    Upper inputs pop into ``_x`` locals; the bottom one is peeked when
+    the opcode pushes (the first output overwrites it in place) and
+    popped otherwise -- straight into the single expression that uses
+    it when that is safe.  Further outputs are pushed.  ``stack=False``
+    renders a fragment that does not touch the stack."""
+    inputs, outputs = (entry.inputs, entry.outputs) if stack else ((), ())
+    bound = set()
+    lines = []
+    for line in source:
+        m = _IDENTITY_BIND.match(line)
+        if m and m.group(1) == m.group(2) and m.group(2) in inputs:
+            bound.add(m.group(2))
+        else:
+            lines.append(line)
+
+    def uses(name, line):
+        return len(re.findall(r"\$%s\b" % name, line))
+
+    names = {x: "_" + x for x in inputs}
+    out: Rendered = [(0, f"_{x} = pop()" if x in bound or any(
+        uses(x, line) for line in lines) else "pop()")
+        for x in reversed(inputs[1:])]
+    if len(entry.operands) > 1:
+        out.append((0, ", ".join("_" + o for o in entry.operands)
+                    + " = operands[pc]"))
+    if inputs:
+        bottom = inputs[0]
+        take = "stack[-1]" if outputs else "pop()"
+        refs = [i for i, line in enumerate(lines) if uses(bottom, line)]
+        if bottom not in bound and len(refs) == 1 and _inlinable(
+                lines, refs[0], bottom, outputs):
+            names[bottom] = take
+        elif bottom in bound or refs:
+            out.append((0, f"_{bottom} = {take}"))
+        elif not outputs:
+            out.append((0, "pop()"))
+    pushes = []
+    for j, o in enumerate(outputs):
+        if j == 0 and inputs:
+            names[o] = "stack[-1]"
+            continue
+        writes = [i for i, line in enumerate(lines) if uses(o, line)]
+        prefix = f"${o} = "
+        if len(writes) == 1 and lines[writes[0]].startswith(prefix):
+            lines[writes[0]] = f"push({lines[writes[0]][len(prefix):]})"
+        else:
+            names[o] = "_" + o
+            pushes.append((0, f"push(_{o})"))
+
+    def value(name):
+        if name in names:
+            return names[name]
+        if name in extra:
+            return extra[name]
+        if name == "pc":
+            return "pc"
+        if name in ("SAN", "SP"):
+            return f"{name} is not None"
+        if name in entry.operands:
+            return "operands[pc]" if len(entry.operands) == 1 \
+                else "_" + name
+        return entry.quick.cold_view(name, "_q")
+
+    return out + render(lines, value, _directive) + pushes
+
+
+def _inlinable(lines: List[str], at: int, name: str, outputs) -> bool:
+    """May the bottom input's one use at ``lines[at]`` read the stack
+    directly?  Only in the unconditional straight-line prefix, before
+    any output is written, and on the right of an assignment."""
+    for line in lines[:at + 1]:
+        if line[0].isspace() or line.endswith(":"):
+            return False
+    for line in lines[:at]:
+        if any(re.search(r"\$%s\b" % o, line) for o in outputs):
+            return False
+    target, eq, _ = lines[at].partition(" = ")
+    return not eq or f"${name}" not in target
+
+
+def _resolve(entry) -> Rendered:
+    """First execution of a constant-pool site: resolve and quicken."""
+    return [(0, "_ins = code[pc]"), (0, "_q = _ins.quick"),
+            (0, "if _q is None:")] + [
+        (1 + level, text)
+        for level, text in _fragment(entry, entry.quick.resolve,
+                                     stack=False)] + [
+        (1, "_ins.quick = _q")]
+
+
+def _arm(entry) -> Rendered:
+    """One opcode's dispatch arm outside the families."""
+    body = entry.body
+    out: Rendered = []
+    if body[:1] == ["FLUSH"]:
+        out.extend(_directive("FLUSH"))
+        body = body[1:]
+    if entry.quickened:
+        out.extend(_resolve(entry))
+    out.extend(_fragment(entry, body))
+    if not SPECS[entry.op].ends_block:
+        out.append((0, "pc += 1"))
+    return out
+
+
+def _branch(entry) -> Rendered:
+    if entry.cond is None:  # goto
+        return [(0, "taken = True")]
+    return _fragment(entry, [f"taken = {entry.cond}"])
+
+
+def _return(entry) -> Rendered:
+    if entry.inputs:
+        return [(0, "_has = True"), (0, "_res = pop()")]
+    return [(0, "_has = False"), (0, "_res = None")]
+
+
+def _invoke(entry) -> Rendered:
+    # _INVOKE_HEAD reads the quickened site before the safepoint, as
+    # _resolve would; the rest of _resolve follows it
+    return _text(_INVOKE_HEAD) + _resolve(entry)[2:] \
+        + _text(_INVOKE_ARGS) + _fragment(
+            entry, entry.body, {"recv": "_args[0]", "mname": "_q[2]"}) \
+        + _text(_INVOKE_CALL)
+
+
+def _chain(ops, arm, keyword="if", last_else=False) -> Rendered:
+    """An if-chain over ``ops``; neighbours with equal arms share one
+    test.  ``last_else`` makes the final test a bare ``else``."""
+    groups: List[Tuple[List[Op], Rendered]] = []
+    for op in ops:
+        body = arm(OPDEFS[op])
+        if groups and groups[-1][1] == body:
+            groups[-1][0].append(op)
+        else:
+            groups.append(([op], body))
+    out: Rendered = []
+    for i, (members, body) in enumerate(groups):
+        if last_else and i == len(groups) - 1:
+            out.append((0, "else:"))
+        else:
+            test = " or ".join(f"op == {op.name}" for op in members)
+            out.append((0, f"{keyword if i == 0 else 'elif'} {test}:"))
+        out.extend((level + 1, text) for level, text in body)
+    return out
+
+
+def _family(ops) -> Rendered:
+    """A range-tested family: per-opcode arms, then the shared
+    control-transfer skeleton."""
+    values = sorted(int(op) for op in ops)
+    if values != list(range(values[0], values[-1] + 1)):
+        raise ValueError(f"family {ops} is not a contiguous range")
+    first = SPECS[ops[0]]
+    if first.is_branch:
+        inner, tail = _chain(ops, _branch, last_else=True), _text(_TAKEN)
+    elif first.cost_class == "return":
+        inner, tail = _chain(ops, _return, last_else=True), _text(_RETURN)
+    else:
+        inner, tail = _chain(ops, _invoke, last_else=True), []
+    return [(0, f"elif 0x{values[0]:02x} <= op <= 0x{values[-1]:02x}:")] \
+        + [(level + 1, text) for level, text in inner + tail]
+
+
+def _generate_run() -> str:
+    listed = {op for item in _ORDER
+              for op in (item if isinstance(item, tuple) else (item,))}
+    order = list(_ORDER) + [Op(v) for v in sorted(OPDEFS)
+                            if Op(v) not in listed]
+    arms: Rendered = []
+    singles: List[Op] = []
+    for item in order + [None]:
+        if isinstance(item, Op):
+            singles.append(item)
+            continue
+        if singles:
+            arms.extend(_chain(singles, _arm,
+                               keyword="elif" if arms else "if"))
+            singles = []
+        if item is not None:
+            arms.extend(_family(item))
+    tested = sorted({name for _, text in arms
+                     for name in re.findall(r"op == (\w+)", text)})
+    consts = "\n".join(f"    {name} = {int(Op[name])}" for name in tested)
+    body = "\n".join("    " * (4 + level) + text for level, text in arms)
+    source = _RUN.replace("#CONSTANTS", consts).replace("#ARMS", body)
+    return "\n".join("    " * level + text
+                     for level, text in _text(source)) + "\n"
+
+
+#: The generated source of ``Interpreter._run`` (kept for debugging).
+RUN_SOURCE = _generate_run()
+_namespace = dict(FRAGMENT_GLOBALS, ChargeTag=ChargeTag, Op=Op,
+                  Unwind=Unwind, _Throw=_Throw, VMError=VMError,
+                  NoSuchMethodError=NoSuchMethodError, CpClass=CpClass,
+                  CpFieldRef=CpFieldRef, CpFloat=CpFloat, CpInt=CpInt,
+                  CpMethodRef=CpMethodRef, CpString=CpString)
+exec(compile(RUN_SOURCE, "<generated Interpreter._run>", "exec"),
+     _namespace)
+Interpreter._run = _namespace["_run"]

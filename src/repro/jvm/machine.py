@@ -311,28 +311,9 @@ class JavaVM:
         previous = self.threads.current
         self.threads.current = thread
         thread.state = ThreadState.RUNNING
-        tracer = self.obs.tracer
-        tracer.register_thread(thread.thread_id, thread.name)
+        self.obs.tracer.register_thread(thread.thread_id, thread.name)
         self.thread_state_instant(thread, "RUNNING")
-        thread_start = thread.cycles_total
-        self.jvmti.dispatch_thread_start(thread)
-        run_method = None
-        if thread.java_object is not None:
-            run_method = thread.java_object.jclass.resolve_method(
-                "run", "()V")
-        if run_method is None:
-            raise VMError(f"thread {thread.name!r} has no run()V")
-        try:
-            # thread bootstrap enters run() through the JNI interface,
-            # so the initial N2J transition is interceptable
-            self.jni_env(thread).call_void_method(
-                thread.java_object, run_method)
-        except Unwind as unwind:
-            self._report_uncaught(thread, unwind.jobject)
-        self._finish_thread(thread)
-        tracer.complete(f"thread:{thread.name}", "thread",
-                        thread.thread_id, thread_start,
-                        thread.cycles_total)
+        self._run_java_thread(thread, self._finish_thread)
         self.threads.current = previous
 
     def start_thread(self, thread: SimThread) -> None:
@@ -388,8 +369,16 @@ class JavaVM:
     def scheduled_thread_body(self, thread: SimThread) -> None:
         """Body of one scheduler-dispatched worker thread (runs on its
         own host thread; execution is serialized by the scheduler)."""
-        tracer = self.obs.tracer
-        tracer.register_thread(thread.thread_id, thread.name)
+        self.obs.tracer.register_thread(thread.thread_id, thread.name)
+        # the scheduler marks the thread TERMINATED in its finish()
+        self._run_java_thread(thread, self.jvmti.dispatch_thread_end)
+
+    def _run_java_thread(self, thread: SimThread, finish) -> None:
+        """The thread bootstrap both thread models share: ThreadStart,
+        ``run()V`` entered through JNI (so the initial N2J transition is
+        interceptable), an uncaught exception reported, ``finish``
+        (ThreadEnd, plus the state change under the sequential model)
+        and the thread's trace span closed."""
         thread_start = thread.cycles_total
         self.jvmti.dispatch_thread_start(thread)
         run_method = None
@@ -403,10 +392,10 @@ class JavaVM:
                 thread.java_object, run_method)
         except Unwind as unwind:
             self._report_uncaught(thread, unwind.jobject)
-        self.jvmti.dispatch_thread_end(thread)
-        tracer.complete(f"thread:{thread.name}", "thread",
-                        thread.thread_id, thread_start,
-                        thread.cycles_total)
+        finish(thread)
+        self.obs.tracer.complete(f"thread:{thread.name}", "thread",
+                                 thread.thread_id, thread_start,
+                                 thread.cycles_total)
 
     def _finish_thread(self, thread: SimThread) -> None:
         self.jvmti.dispatch_thread_end(thread)

@@ -422,17 +422,20 @@ class CoreScheduler:
         workers = self._live_workers()
         blocked = [t for t in workers
                    if t.state in (ThreadState.BLOCKED, ThreadState.WAITING)]
+        main = self._main
+        # a main blocked on a monitor or a join counts even with no live
+        # worker left: the owner may have terminated still holding it
+        if main is not None and \
+                main.waiting_on not in (None, ("drain", None)):
+            blocked.append(main)
         if not blocked:
             return  # workers still running down finish(); progress possible
-        main = self._main
         if (main is not None and main.waiting_on == ("drain", None)
                 and len(blocked) < len(workers)):
             return
         # every live thread is blocked/waiting and none can be woken:
         # find and report a wait-for cycle
-        cycle = self._find_cycle(blocked if main is None
-                                 or main.waiting_on in (None, ("drain", None))
-                                 else blocked + [main])
+        cycle = self._find_cycle(blocked)
         self.deadlocks_detected += 1
         names = DeadlockError.render_cycle(cycle) if cycle else ", ".join(
             t.name for t in blocked)

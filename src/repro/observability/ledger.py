@@ -392,18 +392,30 @@ def trend_series(manifests: List[Dict]
     return series
 
 
+def regression(previous: float, current: float, sense: int,
+               max_regression_percent: float) -> Tuple[float, bool]:
+    """The one regression-gate rule (``runs trend`` and ``bench
+    --compare`` both apply it): return the percent change from
+    ``previous`` (non-zero) to ``current`` and whether it moved in the
+    bad direction by more than ``max_regression_percent``.  ``sense`` is
+    +1 when larger is better, -1 when smaller is better."""
+    change = (current - previous) / abs(previous) * 100.0
+    bad = -change if sense > 0 else change
+    return change, bad > max_regression_percent
+
+
 def trend_report(manifests: List[Dict],
                  max_regression_percent: Optional[float] = None,
                  fields: Optional[Iterable[str]] = None
                  ) -> Tuple[bool, List[str]]:
     """Per-workload trend lines and an overall regression verdict.
 
-    The verdict reuses the ``repro bench --compare`` threshold
-    semantics: for each monotonic series (larger-is-better instr/s,
-    smaller-is-better overhead %), the latest value is compared to the
-    previous one and flagged when it moved in the bad direction by
-    more than ``max_regression_percent``.  ``ok`` is ``False`` only
-    when a threshold was given and at least one series regressed.
+    For each monotonic series (larger-is-better instr/s,
+    smaller-is-better overhead %), :func:`regression` compares the
+    latest value to the previous one, flagging a move in the bad
+    direction by more than ``max_regression_percent``.  ``ok`` is
+    ``False`` only when a threshold was given and at least one series
+    regressed.
     """
     direction = dict(WORKLOAD_FIELDS)
     wanted = set(fields) if fields is not None else None
@@ -436,9 +448,9 @@ def trend_report(manifests: List[Dict],
         if (max_regression_percent is None or sense == 0
                 or len(values) < 2 or values[-2] == 0):
             continue
-        change = (values[-1] - values[-2]) / abs(values[-2]) * 100.0
-        bad = -change if sense > 0 else change
-        if bad > max_regression_percent:
+        change, worse = regression(values[-2], values[-1], sense,
+                                   max_regression_percent)
+        if worse:
             regressed.append(
                 f"REGRESSION {head}: {values[-2]:,.2f} -> "
                 f"{values[-1]:,.2f} ({change:+.1f}%, budget "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 from repro.bytecode.assembler import ClassAssembler
 from repro.classfile.archive import ClassArchive
 from repro.launcher import create_vm
@@ -27,6 +29,28 @@ def run_main(archive: ClassArchive, main_class: str, vm=None,
         vm.add_file(name, payload)
     vm.launch(main_class)
     return vm
+
+
+def run_with_watchdog(run, timeout: float = 30.0):
+    """Call ``run()`` on a daemon thread; return the exception it raised
+    (None when it returned).  A run still going after ``timeout``
+    seconds fails the test instead of hanging the suite."""
+    outcome = []
+
+    def body():
+        try:
+            run()
+        except BaseException as exc:  # handed back to the test
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    worker = threading.Thread(target=body, name="watchdog-run",
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=timeout)
+    assert not worker.is_alive(), f"run still going after {timeout} s"
+    return outcome[0]
 
 
 def expr_main(class_name: str, body) -> ClassAssembler:

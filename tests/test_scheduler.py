@@ -31,7 +31,7 @@ from repro.jvm.machine import VMConfig
 from repro.observability import ObservabilityConfig
 from repro.workloads.base import Workload
 from repro.workloads.suite import _REGISTRY, register
-from tests.helpers import build_app, run_main
+from tests.helpers import build_app, run_main, run_with_watchdog
 
 SPIN = 60_000  # loop iterations; several quanta of simulated cycles
 
@@ -91,33 +91,50 @@ class TestContendedMonitor:
         # at --cores 1 a contended monitor still cannot block (there
         # is one host stack); the error must now carry the wait-for
         # cycle instead of an ad-hoc message
-        holder = ClassAssembler("t.Holder",
-                                super_name="java.lang.Thread")
-        holder.field("lock")
-        with holder.method("<init>", "(Ljava.lang.Object;)V") as m:
-            m.aload(0).aload(1).putfield("t.Holder", "lock")
-            m.return_()
-        with holder.method("run", "()V") as m:
-            # acquire and return still holding the monitor
-            m.aload(0).getfield("t.Holder", "lock").monitorenter()
-            m.return_()
-        main_c = ClassAssembler("t.Main")
-        with main_c.method("main", "()V", static=True) as m:
-            m.new("java.lang.Object").dup()
-            m.invokespecial("java.lang.Object", "<init>", "()V")
-            m.astore(0)
-            m.new("t.Holder").dup().aload(0)
-            m.invokespecial("t.Holder", "<init>",
-                            "(Ljava.lang.Object;)V").astore(1)
-            m.aload(1).invokevirtual("t.Holder", "start", "()V")
-            m.aload(1).invokevirtual("t.Holder", "join", "()V")
-            m.aload(0).monitorenter()
-            m.return_()
         with pytest.raises(DeadlockError) as excinfo:
-            run_main(build_app(holder, main_c), "t.Main")
+            run_main(_dead_owner_app(), "t.Main")
         assert excinfo.value.cycle, "cycle must name the wait-for edges"
         assert any("monitor" in resource
                    for _, resource, _ in excinfo.value.cycle)
+
+    def test_dead_owner_monitor_is_a_structured_error_when_scheduled(self):
+        # at --cores 2 main blocks on a monitor whose owner terminated
+        # still holding it: no live worker is left to release it, so
+        # the detector must report the monitor edge instead of parking
+        # main forever
+        error = run_with_watchdog(lambda: run_main(
+            _dead_owner_app(), "t.Main", config=VMConfig(cores=2)))
+        assert isinstance(error, DeadlockError)
+        [(waiter, resource, holder)] = error.cycle
+        assert waiter == "main" and holder.startswith("Thread-")
+        assert "monitor" in resource
+
+
+def _dead_owner_app():
+    """A started thread takes a monitor and terminates holding it; main
+    joins it and then enters the same monitor."""
+    holder = ClassAssembler("t.Holder", super_name="java.lang.Thread")
+    holder.field("lock")
+    with holder.method("<init>", "(Ljava.lang.Object;)V") as m:
+        m.aload(0).aload(1).putfield("t.Holder", "lock")
+        m.return_()
+    with holder.method("run", "()V") as m:
+        # acquire and return still holding the monitor
+        m.aload(0).getfield("t.Holder", "lock").monitorenter()
+        m.return_()
+    main_c = ClassAssembler("t.Main")
+    with main_c.method("main", "()V", static=True) as m:
+        m.new("java.lang.Object").dup()
+        m.invokespecial("java.lang.Object", "<init>", "()V")
+        m.astore(0)
+        m.new("t.Holder").dup().aload(0)
+        m.invokespecial("t.Holder", "<init>",
+                        "(Ljava.lang.Object;)V").astore(1)
+        m.aload(1).invokevirtual("t.Holder", "start", "()V")
+        m.aload(1).invokevirtual("t.Holder", "join", "()V")
+        m.aload(0).monitorenter()
+        m.return_()
+    return build_app(holder, main_c)
 
 
 class TestIllegalMonitorState:

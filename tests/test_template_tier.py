@@ -21,7 +21,7 @@ from repro.jni.library import NativeLibrary
 from repro.jvm.machine import VMConfig
 from repro.launcher import create_vm
 
-from helpers import build_app, expr_main, run_main
+from helpers import build_app, expr_main, run_main, run_with_watchdog
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -688,6 +688,24 @@ class TestMonitorsAndDeadlock:
             "grab", "(Ljava.lang.Object;)V")
         assert grab.template is not None
         assert vm.jit.template_entries > 0
+
+    def test_scheduled_dead_owner_enter_from_template(self):
+        # cores=2: the holder thread terminated still owning the lock, so
+        # the templated MONITORENTER in grab() can never be granted; the
+        # detector must report the monitor edge instead of parking main
+        from repro.errors import DeadlockError
+
+        vm = create_vm(VMConfig(cores=2, jit_policy=JitPolicy(
+            template_tier=True, **HOT)))
+        error = run_with_watchdog(
+            lambda: run_main(self._grab_app(), "tm.Main", vm=vm))
+        assert isinstance(error, DeadlockError)
+        [(waiter, resource, holder)] = error.cycle
+        assert waiter == "main" and holder.startswith("Thread-")
+        assert "monitor" in resource
+        grab = vm.loader.loaded_class("tm.Main").find_declared(
+            "grab", "(Ljava.lang.Object;)V")
+        assert grab.template is not None
 
     def _imse_app(self, calls):
         """Hot helper whose MONITOREXIT past count zero must raise the
