@@ -1,41 +1,28 @@
 """One definition per opcode: the semantics both execution tiers run.
 
-Every opcode's behaviour -- what it computes, when it throws, when it
+Each opcode's behaviour -- what it computes, when it throws, when it
 makes pending cycles observable -- is written once here, as a Python
-source fragment over named operand-stack slots.  Renderers turn the
-fragments into running code:
+source fragment over named operand-stack slots.
+:mod:`repro.jvm.interpreter` generates its dispatch loop from the
+fragments at import; :mod:`repro.jit.template` renders them per method
+with stack slots as ``s{d}`` locals, and renders a fused window as its
+consumer's fragment with the loads substituted.  Control transfer
+(branch targets and backedges, invoke and return) stays with the
+renderers, which splice in an opcode's condition or value fragment.
 
-* :mod:`repro.jvm.interpreter` generates the dispatch loop
-  (``Interpreter._run``) from them once, at import;
-* :mod:`repro.jit.template` renders them per translated method with
-  stack slots as ``s{d}`` locals, and builds each fused
-  superinstruction by substituting a window's loads into its
-  consumer's fragment.
+In a fragment (four-space indents; a trailing ``\\`` joins lines):
 
-Control transfer stays with the renderers (branch targets and
-backedges, invoke and return frame push/pop); they splice in the
-fragment for the opcode's condition (``cond``) or value.
-
-Fragment language
------------------
-A fragment is Python source (four-space indents; a trailing ``\\``
-joins the next line) in which
-
-* ``$x`` is a placeholder: a stack input or output named by
-  ``stack="in... -- out..."``, the operand (``$arg``, or ``$idx`` and
-  ``$delta`` for ``iinc``), a view of the quickened constant-pool value
-  (:class:`Quick`), ``$pc``, or a name the renderer supplies;
-* inside an f-string, ``{$x}`` interpolates a placeholder;
-* a line ``_x = $x`` binds input ``x`` to the local ``_x`` (the
-  interpreter pops straight into it);
-* ``WRAP`` wraps the int in ``_r`` to 32 bits;
-* ``THROW(EXC, message)`` throws a VM-synthesized Java exception,
-  ``RAISE(expr)`` an existing throwable, and ``FLUSH`` charges the
-  pending bytecode cycles and instruction count -- each tier renders
-  these with its own accounting;
-* ``if SAN:`` and ``if SP:`` guard race-sanitizer and scheduler code;
-  the template decides them at translation time, as it does ``if $v:``
-  on a view whose value it knows.
+* ``$x`` is a stack input or output named by ``stack="in -- out"``, the
+  operand (``$arg``; ``$idx``/``$delta`` for ``iinc``), a view of the
+  quickened constant-pool value (:class:`Quick`), ``$pc``, or a name
+  the renderer supplies; ``{$x}`` interpolates one in an f-string;
+* ``_x = $x`` binds input ``x`` (the interpreter pops straight into it);
+* ``WRAP`` wraps the int ``_r`` to 32 bits;
+* ``THROW(EXC, message)``, ``RAISE(expr)`` and ``FLUSH`` (charge the
+  pending cycles) are rendered with each tier's own accounting;
+* ``if SAN:``/``if SP:`` guard sanitizer and scheduler code; the
+  template decides them, and ``if $view:`` on a known view, when it
+  translates.
 
 Adding an opcode means one :data:`~repro.bytecode.opcodes.SPECS` entry
 and one :func:`_define` call below.
@@ -43,10 +30,11 @@ and one :func:`_define` call below.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import textwrap
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.bytecode.opcodes import INVOKE_OPS, SPECS, VARIABLE, ArrayKind, \
     Op, OperandKind
@@ -79,28 +67,22 @@ _WRAP = ("if _r > 2147483647 or _r < -2147483648:",
          "    _r = (_r + 2147483648 & 4294967295) - 2147483648")
 
 
-class Literal:
+class Literal(NamedTuple):
     """A placeholder value the renderer knows when it renders: emitted
     as ``repr(value)`` in code, as its text inside an f-string."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
+    value: object
 
 
 class Quick:
     """An opcode's quickened constant-pool site.
 
-    ``resolve`` is the interpreter's first-execution resolution (a
-    fragment assigning ``_q``; it charges no cycles except through
-    ``FLUSH``).  Each view is ``(expression over Q, bind)``: the
-    interpreter reads ``Q`` as ``_q``, and so does a template compiled
-    before the site was quickened (which deoptimizes until it is);
-    otherwise the template evaluates the view when it translates and
-    inlines it, or binds it as ``{bind}{pc}`` (``bind`` may be a
-    function of the quickened value).
-    """
+    ``resolve`` is the interpreter's first-execution resolution, a
+    fragment assigning ``_q``.  Each view is ``(expression over Q,
+    bind)``: the interpreter, and a template translated before the site
+    was quickened, read ``Q`` as ``_q``; otherwise the template inlines
+    the view's value, or binds it as ``{bind}{pc}`` (``bind`` may be a
+    function of the quickened value)."""
 
     def __init__(self, resolve: str, **views):
         self.resolve = _lines(resolve)
@@ -130,6 +112,9 @@ class OpDef:
             ins, outs = stack.split("--")
             self.inputs = tuple(ins.split())
             self.outputs = tuple(outs.split())
+        #: (name, stack slot relative to the depth before the opcode)
+        self.slots = tuple((name, i - len(self.inputs)) for names in (
+            self.outputs, self.inputs) for i, name in enumerate(names))
         if spec.pops != VARIABLE and (len(self.inputs), len(
                 self.outputs)) != (spec.pops, spec.pushes):
             raise ValueError(f"{spec.mnemonic}: stack {stack!r} disagrees "
@@ -170,7 +155,7 @@ class OpDef:
         return expr if self.outputs == (target[1:],) else None
 
 
-def _lines(source: str) -> List[str]:
+def _lines(source: str) -> Tuple[str, ...]:
     """Dedent, join ``\\``-continued lines, expand ``WRAP``."""
     out: List[str] = []
     joined = re.sub(r"\\\n\s*", "", textwrap.dedent(source))
@@ -181,7 +166,7 @@ def _lines(source: str) -> List[str]:
             out.extend(pad + w for w in _WRAP)
         elif text:
             out.append(line.rstrip())
-    return out
+    return tuple(out)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -193,8 +178,41 @@ _DIRECTIVE = re.compile(r"(THROW|RAISE)\((.*)\)$|FLUSH$")
 
 #: ``value(name)`` -> source text or :class:`Literal`
 Value = Callable[[str], object]
-#: ``directive(kind, *args)`` -> ``[(relative level, text)]``
+#: ``directive(key, kind, *args)`` -> ``[(relative level, text)]``
 Directive = Callable[..., List[Tuple[int, str]]]
+
+
+def render(lines, value: Value, directive: Directive, key=()
+           ) -> Tuple[Tuple[Tuple[int, str], ...], bool]:
+    """Render fragment ``lines`` to ``((indent level, text), ...)`` and
+    whether a directive was rendered.  ``directive(key, kind, *args)``
+    must depend on its arguments alone: renders are memoized, as the
+    translator renders the same fragment with the same values for
+    every VM that compiles a method."""
+    lines = tuple(lines)
+    return _render(lines, tuple(map(value, _names(lines))), directive, key)
+
+
+@functools.lru_cache(maxsize=None)
+def _names(lines: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The placeholder names ``lines`` use, ``SAN`` and ``SP`` too."""
+    names = {m.group(1) or m.group(2)
+             for line in lines for m in _PLACEHOLDER.finditer(line)}
+    return tuple(sorted(names | {m.group(1) for line in lines if (
+        m := re.match(r"\s*if (SAN|SP):$", line))}))
+
+
+@functools.lru_cache(maxsize=16384)
+def _render(lines, values, directive, key):
+    used = []
+
+    def emit(*args):
+        used.append(args[0])
+        return directive(key, *args)
+    out: List[Tuple[int, str]] = []
+    _walk(_tree(lines), dict(zip(_names(lines), values)).__getitem__,
+          emit, 0, out)
+    return tuple(out), bool(used)
 
 
 def substitute(text: str, value: Value) -> str:
@@ -234,15 +252,7 @@ def message(source: str, value: Value) -> str:
                       else item for item in items)
 
 
-def render(lines: List[str], value: Value, directive: Directive
-           ) -> List[Tuple[int, str]]:
-    """Render fragment ``lines`` to ``[(indent level, text)]``."""
-    out: List[Tuple[int, str]] = []
-    _render(_tree(lines), value, directive, 0, out)
-    return out
-
-
-def _tree(lines: List[str]):
+def _tree(lines):
     root: List = []
     open_blocks = [(-1, root)]
     for line in lines:
@@ -255,12 +265,12 @@ def _tree(lines: List[str]):
     return root
 
 
-def _render(nodes, value, directive, level, out) -> None:
+def _walk(nodes, value, directive, level, out) -> None:
     drop_else = None  # after a decided if: whether its else is dropped
     for text, children in nodes:
         if text == "else:" and drop_else is not None:
             if not drop_else:
-                _render(children, value, directive, level, out)
+                _walk(children, value, directive, level, out)
             drop_else = None
             continue
         drop_else = None
@@ -269,7 +279,7 @@ def _render(nodes, value, directive, level, out) -> None:
             cond = value(static.group(1).lstrip("$"))
             if isinstance(cond, Literal):
                 if cond.value:
-                    _render(children, value, directive, level, out)
+                    _walk(children, value, directive, level, out)
                 drop_else = bool(cond.value)
                 continue
             text = f"if {cond}:"
@@ -287,7 +297,7 @@ def _render(nodes, value, directive, level, out) -> None:
                 continue
             text = substitute(text, value)
         out.append((level, text))
-        _render(children, value, directive, level + 1, out)
+        _walk(children, value, directive, level + 1, out)
 
 
 # -- the table ---------------------------------------------------------------

@@ -63,6 +63,28 @@ from repro.jvm.costmodel import ChargeTag
 from repro.jvm.interpreter import Unwind
 
 
+def _directive(key, kind, *args):
+    """``FLUSH``, ``THROW`` and ``RAISE`` in template code; ``key`` is
+    the instruction's pc and whether pending cycles were flushed."""
+    pc, flushed = key
+    if kind == "FLUSH":
+        return _flush(pc)
+    if kind == "RAISE":
+        return [(0, f"return interp._template_raise(thread, frame, {pc}, "
+                    f"{args[0]}, p, n)")]
+    pn = "0, 0" if flushed else "p, n"
+    return [(0, f"return interp._template_throw(thread, frame, {pc}, "
+                f"{args[0]!r}, {args[1]}, {pn})")]
+
+
+def _flush(pc, set_pc=True):
+    # matches the interpreter: pending includes this op's cost (>= 1),
+    # so the charge/retire are unconditional
+    return ([(0, f"frame.pc = {pc}")] if set_pc else []) + [
+        (0, "charge(p, CT)"), (0, "p = 0"),
+        (0, "vm.instructions_retired += n"), (0, "n = 0")]
+
+
 class _Bail(Exception):
     """Translation abandoned; ``reason`` is the metrics key."""
 
@@ -231,15 +253,8 @@ def _translate(method, vm, policy, exclude_ops):
             seg[0] = seg[1] = 0
 
     def emit(rendered, rel=0):
-        for level, text in rendered:
-            out(rel + level, text)
-
-    def flush(pc, set_pc=True):
-        # matches the interpreter: pending includes this op's cost
-        # (>= 1), so the charge/retire are unconditional
-        return ([(0, f"frame.pc = {pc}")] if set_pc else []) + [
-            (0, "charge(p, CT)"), (0, "p = 0"),
-            (0, "vm.instructions_retired += n"), (0, "n = 0")]
+        lines.extend(op_indent + "    " * (rel + level) + text
+                     for level, text in rendered)
 
     def deopt(pc, d, reason, rel=0):
         slots = ", ".join(f"s{i}" for i in range(d))
@@ -284,7 +299,7 @@ def _translate(method, vm, policy, exclude_ops):
         """Quantum check at a taken backward branch (pending charges
         still in ``p``, exactly the interpreter's check)."""
         out(rel, "if thread.cycles_total + p >= thread.preempt_at:")
-        emit(flush(target), rel + 1)
+        emit(_flush(target), rel + 1)
         out(rel + 1, "SP.preempt(thread)")
 
     def fragment(pc, entry, d, source, loads=(), extra=(),
@@ -298,25 +313,16 @@ def _translate(method, vm, policy, exclude_ops):
         ``(rendered lines, cold site, reads p/n)``."""
         q = code[pc].quick
         cold = entry.quickened and q is None
-        pops = len(entry.inputs)
-        names = {name: f"s{d - pops + i}"
-                 for i, name in enumerate(entry.outputs)}
-        names.update((name, f"s{d - pops + i}")
-                     for i, name in enumerate(entry.inputs))
-        names.update(zip(entry.inputs[pops - len(loads):], loads))
-        names.update(extra)
+        names = {name: f"s{d + offset}" for name, offset in entry.slots}
+        if loads:
+            names.update(zip(entry.inputs[-len(loads):], loads))
+        names.update(extra, pc=Literal(pc), SAN=Literal(san_on),
+                     SP=Literal(sched_on))
         operand = operands[pc]
-        observed = []
 
         def value(name):
             if name in names:
                 return names[name]
-            if name == "pc":
-                return Literal(pc)
-            if name == "SAN":
-                return Literal(san_on)
-            if name == "SP":
-                return Literal(sched_on)
             if name in entry.operands:
                 if entry.bind_operand is not None:
                     bind(f"{entry.bind_operand}{pc}", operand)
@@ -335,18 +341,9 @@ def _translate(method, vm, policy, exclude_ops):
             bind(f"{letter}{pc}", view)
             return f"{letter}{pc}"
 
-        def directive(kind, *args):
-            observed.append(kind)
-            if kind == "FLUSH":
-                return flush(pc)
-            if kind == "RAISE":
-                return [(0, f"return interp._template_raise(thread, "
-                            f"frame, {pc}, {args[0]}, p, n)")]
-            pn = "0, 0" if flushed else "p, n"
-            return [(0, f"return interp._template_throw(thread, frame, "
-                        f"{pc}, {args[0]!r}, {args[1]}, {pn})")]
-
-        return render(source, value, directive), cold, bool(observed)
+        rendered, observed = render(source, value, _directive,
+                                    (pc, flushed))
+        return rendered, cold, observed
 
     def emit_branch(pc, entry, d, loads=()):
         """A branch at ``pc``: its condition fragment guards the jump
@@ -389,7 +386,7 @@ def _translate(method, vm, policy, exclude_ops):
         if spec.cost_class == "return":
             acc(pc)
             spill()
-            emit(flush(pc, set_pc=False))
+            emit(_flush(pc, set_pc=False))
             # the flag is re-checked at run time (agents can toggle
             # events mid-run); inlining it just skips a call when off
             out(0, "if jvmti.method_exit_enabled:")
@@ -411,7 +408,7 @@ def _translate(method, vm, policy, exclude_ops):
             else:
                 acc(pc)
                 spill()
-            emit(flush(pc))
+            emit(_flush(pc))
             if sched_on:
                 out(0, "if thread.cycles_total >= thread.preempt_at:")
                 out(1, "SP.preempt(thread)")

@@ -497,14 +497,10 @@ if taken:
             #FLUSH
             SP.preempt(thread)
         # on-stack replacement: a template with an entry stub for this
-        # loop header takes over the live frame mid-method.  The flush
-        # splits one pending charge in two; totals and safepoint
-        # decisions (cycles_total + p at instruction positions) are
-        # unchanged, so goldens stay bit-identical.  A deopted frame
-        # may re-enter: deopts heal (the interpreter quickens the cold
-        # site before the next backedge), and a template that keeps
-        # deopting is invalidated at the disable threshold, which
-        # clears osr_map and ends the cycle -- ping-pong is bounded.
+        # loop header takes over the live frame mid-method.  Splitting
+        # the pending charge leaves totals and safepoint decisions
+        # unchanged.  Re-entry after a deopt is bounded: the site heals
+        # or the template is invalidated (DESIGN.md section 11).
         osr_map = method.osr_map
         if osr_map is not None and osr_on \\
                 and osr_map.get(target) == len(stack):
@@ -602,7 +598,7 @@ def _text(source: str) -> Rendered:
     return out
 
 
-def _directive(kind: str, *args) -> Rendered:
+def _directive(key, kind: str, *args) -> Rendered:
     if kind == "FLUSH":
         return [(0, "frame.pc = pc")] + _text(_FLUSH)
     if kind == "RAISE":
@@ -666,21 +662,18 @@ def _fragment(entry, source: List[str], extra=(),
             names[o] = "_" + o
             pushes.append((0, f"push(_{o})"))
 
+    names.update(extra, pc="pc", SAN="SAN is not None",
+                 SP="SP is not None")
+
     def value(name):
         if name in names:
             return names[name]
-        if name in extra:
-            return extra[name]
-        if name == "pc":
-            return "pc"
-        if name in ("SAN", "SP"):
-            return f"{name} is not None"
         if name in entry.operands:
             return "operands[pc]" if len(entry.operands) == 1 \
                 else "_" + name
         return entry.quick.cold_view(name, "_q")
 
-    return out + render(lines, value, _directive) + pushes
+    return [*out, *render(lines, value, _directive)[0], *pushes]
 
 
 def _inlinable(lines: List[str], at: int, name: str, outputs) -> bool:
@@ -711,8 +704,8 @@ def _arm(entry) -> Rendered:
     """One opcode's dispatch arm outside the families."""
     body = entry.body
     out: Rendered = []
-    if body[:1] == ["FLUSH"]:
-        out.extend(_directive("FLUSH"))
+    if body[:1] == ("FLUSH",):
+        out.extend(_directive((), "FLUSH"))
         body = body[1:]
     if entry.quickened:
         out.extend(_resolve(entry))
@@ -768,8 +761,6 @@ def _family(ops) -> Rendered:
     """A range-tested family: per-opcode arms, then the shared
     control-transfer skeleton."""
     values = sorted(int(op) for op in ops)
-    if values != list(range(values[0], values[-1] + 1)):
-        raise ValueError(f"family {ops} is not a contiguous range")
     first = SPECS[ops[0]]
     if first.is_branch:
         inner, tail = _chain(ops, _branch, last_else=True), _text(_TAKEN)
