@@ -86,12 +86,8 @@ class Quick:
 
     def __init__(self, resolve: str, **views):
         self.resolve = _lines(resolve)
-        self.views = {name: (compile(expr, name, "eval"), expr, bind)
+        self.views = {name: (eval(f"lambda Q: {expr}"), expr, bind)
                       for name, (expr, bind) in views.items()}
-
-    def view(self, name: str, q):
-        """The view's value for the quickened value ``q``."""
-        return eval(self.views[name][0], {"Q": q})
 
     def cold_view(self, name: str, q_name: str) -> str:
         """The view as an expression over the local ``q_name``."""
@@ -104,8 +100,8 @@ class OpDef:
     def __init__(self, op: Op, stack: Optional[str], body: str,
                  quick: Optional[Quick], cond: Optional[str],
                  bind_operand: Optional[str]):
-        spec = SPECS[op]
-        self.op = op
+        self.op, self.spec = op, SPECS[op]
+        spec = self.spec
         if stack is None:
             self.inputs = self.outputs = ()
         else:
@@ -134,8 +130,7 @@ class OpDef:
         text = "\n".join(self.body)
         #: may throw a Java exception
         self.may_throw = "THROW(" in text or "RAISE(" in text
-        #: makes pending cycles observable (the invoke and return
-        #: skeletons flush as well)
+        #: makes pending cycles observable (invoke and return too)
         self.flushes = "FLUSH" in text or op in INVOKE_OPS or \
             spec.cost_class == "return"
         #: a scheduler safepoint: backedges and call boundaries
@@ -178,17 +173,12 @@ _DIRECTIVE = re.compile(r"(THROW|RAISE)\((.*)\)$|FLUSH$")
 
 #: ``value(name)`` -> source text or :class:`Literal`
 Value = Callable[[str], object]
-#: ``directive(key, kind, *args)`` -> ``[(relative level, text)]``
-Directive = Callable[..., List[Tuple[int, str]]]
 
 
-def render(lines, value: Value, directive: Directive, key=()
-           ) -> Tuple[Tuple[Tuple[int, str], ...], bool]:
-    """Render fragment ``lines`` to ``((indent level, text), ...)`` and
-    whether a directive was rendered.  ``directive(key, kind, *args)``
-    must depend on its arguments alone: renders are memoized, as the
-    translator renders the same fragment with the same values for
-    every VM that compiles a method."""
+def render(lines, value: Value, directive, key=()):
+    """Render fragment ``lines`` to ``(((indent level, text), ...), a
+    directive was rendered)``.  Renders are memoized, so
+    ``directive(key, kind, *args)`` may depend on its arguments alone."""
     lines = tuple(lines)
     return _render(lines, tuple(map(value, _names(lines))), directive, key)
 
@@ -202,7 +192,7 @@ def _names(lines: Tuple[str, ...]) -> Tuple[str, ...]:
         m := re.match(r"\s*if (SAN|SP):$", line))}))
 
 
-@functools.lru_cache(maxsize=16384)
+@functools.lru_cache(maxsize=4096)
 def _render(lines, values, directive, key):
     used = []
 
@@ -234,22 +224,20 @@ def message(source: str, value: Value) -> str:
     items: List[object] = []
     for i, part in enumerate(re.split(r"\{([^{}]*)\}", source[2:-1])):
         if i % 2 == 0:
-            item = Literal(part) if part else None
+            item = Literal(part)
         elif part.startswith("$"):
             item = value(part[1:])
             if isinstance(item, Literal):
                 item = Literal(str(item.value))
         else:
             item = substitute(part, value)
-        if item is None:
-            continue
         if isinstance(item, Literal) and items and \
                 isinstance(items[-1], Literal):
             items[-1] = Literal(items[-1].value + item.value)
         else:
             items.append(item)
     return " + ".join(repr(item.value) if isinstance(item, Literal)
-                      else item for item in items)
+                      else item for item in items if item != Literal(""))
 
 
 def _tree(lines):

@@ -54,13 +54,18 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.analysis.cfg import solve_forward
-from repro.bytecode.opcodes import INVOKE_OPS, SPECS, Op
+from repro.bytecode.opcodes import INVOKE_OPS
 from repro.bytecode.verifier import _stack_effect
 from repro.classfile.constant_pool import CpMethodRef
 from repro.jit.fusion import plan_fusion
 from repro.jit.opdefs import FRAGMENT_GLOBALS, OPDEFS, Literal, render
 from repro.jvm.costmodel import ChargeTag
 from repro.jvm.interpreter import Unwind
+
+
+#: Stands for the pc in memoized renders, so that they are shared by
+#: every instruction with the same fragment and values.
+_PC = "\x00pc\x00"
 
 
 def _directive(key, kind, *args):
@@ -138,14 +143,14 @@ def _translate(method, vm, policy, exclude_ops):
         if op in exclude_ops or op not in OPDEFS:
             deopt_only[pc] = True
             return  # terminal in the template: no successors
-        ins = code[pc]
-        pops, pushes = _stack_effect(ins, info, cp)
+        spec = OPDEFS[op].spec
+        pops, pushes = _stack_effect(code[pc], info, cp)
         if d < pops:
             raise _Bail("stack_inconsistent")
         nd = d - pops + pushes
-        if ins.spec.is_branch:
+        if spec.is_branch:
             yield operands[pc], nd
-        if not ins.spec.ends_block:
+        if not spec.ends_block:
             yield pc + 1, nd
 
     def join(pc, known, d, src):
@@ -162,7 +167,7 @@ def _translate(method, vm, policy, exclude_ops):
     back_targets = set()  # loop headers: targets of backward branches
     for pc in range(n_ins):
         if depth_at[pc] >= 0 and not deopt_only[pc] \
-                and code[pc].spec.is_branch:
+                and OPDEFS[ops[pc]].spec.is_branch:
             target = operands[pc]
             targets.add(target)
             if target <= pc:
@@ -294,6 +299,7 @@ def _translate(method, vm, policy, exclude_ops):
     san_on = vm.sanitizer is not None
     if san_on:
         bind("SAN", vm.sanitizer)
+    flags = (Literal(san_on), Literal(sched_on))
 
     def safepoint_backedge(target, rel):
         """Quantum check at a taken backward branch (pending charges
@@ -304,46 +310,46 @@ def _translate(method, vm, policy, exclude_ops):
 
     def fragment(pc, entry, d, source, loads=(), extra=(),
                  flushed=False):
-        """Render ``source`` (lines of ``entry``'s fragments) for the
-        instruction at ``pc``, the operand stack at depth ``d``.
-
-        ``loads`` are expressions standing in for the topmost inputs (a
-        fused window's loads); ``extra`` supplies renderer placeholders;
-        ``flushed`` says pending cycles were already charged.  Returns
-        ``(rendered lines, cold site, reads p/n)``."""
+        """Render ``source`` (lines of ``entry``'s fragments) at ``pc``
+        with stack depth ``d``; ``loads`` stand in for the topmost inputs
+        (a fused window), ``extra`` supplies renderer placeholders.
+        Returns ``(rendered lines, cold site, reads p/n)``."""
         q = code[pc].quick
         cold = entry.quickened and q is None
         names = {name: f"s{d + offset}" for name, offset in entry.slots}
         if loads:
             names.update(zip(entry.inputs[-len(loads):], loads))
-        names.update(extra, pc=Literal(pc), SAN=Literal(san_on),
-                     SP=Literal(sched_on))
+        names.update(extra, SAN=flags[0], SP=flags[1])
         operand = operands[pc]
 
         def value(name):
             if name in names:
                 return names[name]
+            if name == "pc":
+                return _PC
             if name in entry.operands:
                 if entry.bind_operand is not None:
                     bind(f"{entry.bind_operand}{pc}", operand)
-                    return f"{entry.bind_operand}{pc}"
+                    return f"{entry.bind_operand}{_PC}"
                 if len(entry.operands) > 1:
                     return Literal(operand[entry.operands.index(name)])
                 return Literal(operand)
             if cold:
                 return entry.quick.cold_view(name, "_q")
-            view = entry.quick.view(name, q)
-            letter = entry.quick.views[name][2]
+            evaluate, _, letter = entry.quick.views[name]
+            view = evaluate(q)
             if letter is None:
                 return Literal(view)
             if callable(letter):
                 letter = letter(q)
             bind(f"{letter}{pc}", view)
-            return f"{letter}{pc}"
+            return f"{letter}{_PC}"
 
         rendered, observed = render(source, value, _directive,
-                                    (pc, flushed))
-        return rendered, cold, observed
+                                    (_PC, flushed))
+        spc = str(pc)
+        return [(level, text.replace(_PC, spc))
+                for level, text in rendered], cold, observed
 
     def emit_branch(pc, entry, d, loads=()):
         """A branch at ``pc``: its condition fragment guards the jump
@@ -360,7 +366,7 @@ def _translate(method, vm, policy, exclude_ops):
             out(0, f"b = {bid[target]}")
             out(0, "continue")
             return False
-        emit(fragment(pc, entry, d, [f"if {entry.cond}:"], loads)[0])
+        emit(fragment(pc, entry, d, (f"if {entry.cond}:",), loads)[0])
         if backedge:
             safepoint_backedge(target, rel=1)
         out(1, f"b = {bid[target]}")
@@ -374,13 +380,12 @@ def _translate(method, vm, policy, exclude_ops):
 
         if deopt_only[pc]:
             spill()
-            name = SPECS[Op(op)].mnemonic if op in OPDEFS \
-                else f"0x{op:02x}"
+            name = OPDEFS[op].spec.mnemonic if op in OPDEFS else f"0x{op:02x}"
             deopt(pc, d, f"unsupported_op:{name}")
             return False
 
         entry = OPDEFS[op]
-        spec = ins.spec
+        spec = entry.spec
         if spec.is_branch:
             return emit_branch(pc, entry, d)
         if spec.cost_class == "return":
@@ -463,7 +468,7 @@ def _translate(method, vm, policy, exclude_ops):
     def load_expr(pc):
         """The value a fusible load pushes, as a plain expression."""
         entry = OPDEFS[ops[pc]]
-        return fragment(pc, entry, 0, [entry.push_expr])[0][0][1]
+        return fragment(pc, entry, 0, (entry.push_expr,))[0][0][1]
 
     def emit_fused(site, d):
         """Emit one fused superinstruction window: the consumer's
@@ -485,7 +490,7 @@ def _translate(method, vm, policy, exclude_ops):
         loads = [load_expr(k) for k in range(pc, last)]
         entry = OPDEFS[ops[last]]
         d += len(loads)
-        if code[last].spec.is_branch:
+        if entry.spec.is_branch:
             emit_branch(last, entry, d, loads)
             return True
         body, _, observed = fragment(last, entry, d, entry.body, loads)

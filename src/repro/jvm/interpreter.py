@@ -678,8 +678,8 @@ def _fragment(entry, source: List[str], extra=(),
 
 def _inlinable(lines: List[str], at: int, name: str, outputs) -> bool:
     """May the bottom input's one use at ``lines[at]`` read the stack
-    directly?  Only in the unconditional straight-line prefix, before
-    any output is written, and on the right of an assignment."""
+    directly?  Only unconditionally, before any output is written, and
+    on the right of an assignment."""
     for line in lines[:at + 1]:
         if line[0].isspace() or line.endswith(":"):
             return False
@@ -716,15 +716,13 @@ def _arm(entry) -> Rendered:
 
 
 def _branch(entry) -> Rendered:
-    if entry.cond is None:  # goto
-        return [(0, "taken = True")]
-    return _fragment(entry, [f"taken = {entry.cond}"])
+    # goto has no condition: always taken
+    return _fragment(entry, [f"taken = {entry.cond or True}"])
 
 
 def _return(entry) -> Rendered:
-    if entry.inputs:
-        return [(0, "_has = True"), (0, "_res = pop()")]
-    return [(0, "_has = False"), (0, "_res = None")]
+    return [(0, f"_has = {bool(entry.inputs)}"),
+            (0, "_res = pop()" if entry.inputs else "_res = None")]
 
 
 def _invoke(entry) -> Rendered:

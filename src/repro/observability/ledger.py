@@ -394,11 +394,10 @@ def trend_series(manifests: List[Dict]
 
 def regression(previous: float, current: float, sense: int,
                max_regression_percent: float) -> Tuple[float, bool]:
-    """The one regression-gate rule (``runs trend`` and ``bench
-    --compare`` both apply it): return the percent change from
-    ``previous`` (non-zero) to ``current`` and whether it moved in the
-    bad direction by more than ``max_regression_percent``.  ``sense`` is
-    +1 when larger is better, -1 when smaller is better."""
+    """The regression rule of ``runs trend`` and ``bench --compare``:
+    the percent change from ``previous`` (non-zero) to ``current``, and
+    whether it is worse by more than ``max_regression_percent``
+    (``sense`` +1: larger is better, -1: smaller is better)."""
     change = (current - previous) / abs(previous) * 100.0
     bad = -change if sense > 0 else change
     return change, bad > max_regression_percent
