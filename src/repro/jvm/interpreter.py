@@ -61,7 +61,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from repro.bytecode.opcodes import SPECS, Op
+from repro.bytecode.opcodes import Op
 from repro.classfile.constant_pool import (
     CpClass,
     CpFieldRef,
@@ -710,7 +710,7 @@ def _arm(entry) -> Rendered:
     if entry.quickened:
         out.extend(_resolve(entry))
     out.extend(_fragment(entry, body))
-    if not SPECS[entry.op].ends_block:
+    if not entry.spec.ends_block:
         out.append((0, "pc += 1"))
     return out
 
@@ -759,7 +759,7 @@ def _family(ops) -> Rendered:
     """A range-tested family: per-opcode arms, then the shared
     control-transfer skeleton."""
     values = sorted(int(op) for op in ops)
-    first = SPECS[ops[0]]
+    first = OPDEFS[ops[0]].spec
     if first.is_branch:
         inner, tail = _chain(ops, _branch, last_else=True), _text(_TAKEN)
     elif first.cost_class == "return":
