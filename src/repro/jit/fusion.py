@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bytecode.opcodes import CONDITIONAL_BRANCHES, Op
 
-#: Loads whose value the emitters can rebuild as a plain expression
+#: Loads whose value is a plain expression (``OpDef.push_expr``)
 #: (a local-variable subscript or a literal) — the precondition for
 #: deleting the stack-slot assignment.
 _INT_LOADS = frozenset({Op.ILOAD, Op.ICONST})
