@@ -2,12 +2,15 @@
 
 Holds the specialized Python functions the translator produced, keyed
 by :class:`~repro.jvm.classloader.LoadedMethod` (identity — methods are
-per-VM objects).  The cache keeps the generated source next to each
-function so failures are debuggable (``source_for``), and it is the
-single place templates are *invalidated*: when a method keeps
-deoptimizing past the policy threshold, :meth:`invalidate` detaches the
-template (the method stays JIT-compiled — cost arrays are untouched —
-it merely returns to the generic dispatch loop for good).
+per-VM objects).  The functions and their globals are per VM; their
+code objects are shared by every VM in the process, compiled once per
+distinct source and method name (``repro.jit.template._compile``).
+The cache keeps the generated source next to each function so failures
+are debuggable (``source_for``), and it is the single place templates
+are *invalidated*: when a method keeps deoptimizing past the policy
+threshold, :meth:`invalidate` detaches the template (the method stays
+JIT-compiled — cost arrays are untouched — it merely returns to the
+generic dispatch loop for good).
 
 Nothing in here touches simulated cycle accounting.
 """

@@ -51,6 +51,7 @@ runs exception dispatch).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 from repro.analysis.cfg import solve_forward
@@ -88,6 +89,17 @@ def _flush(pc, set_pc=True):
     return ([(0, f"frame.pc = {pc}")] if set_pc else []) + [
         (0, "charge(p, CT)"), (0, "p = 0"),
         (0, "vm.instructions_retired += n"), (0, "n = 0")]
+
+
+@functools.lru_cache(maxsize=512)
+def _compile(source: str, filename: str):
+    """The code object of one template source, shared by every VM in
+    the process.  Sound because a code object is immutable and holds no
+    VM state: the VM, heap, method and quickened views reach a template
+    only through the globals it is ``exec``-ed into, and every literal
+    is in ``source``.  ``filename`` names the method, so two methods
+    with equal source keep their own name in tracebacks."""
+    return compile(source, filename, "exec")
 
 
 class _Bail(Exception):
@@ -527,10 +539,9 @@ def _translate(method, vm, policy, exclude_ops):
         raise _Bail("fall_off_end")
 
     source = "\n".join(lines) + "\n"
-    code_obj = compile(source, f"<template:{method.qualified_name}>",
-                       "exec")
     namespace = dict(bindings)
-    exec(code_obj, namespace)
+    exec(_compile(source, f"<template:{method.qualified_name}>"),
+         namespace)
     func = namespace["template"]
     # published for the code cache (OSR eligibility) and the compiler's
     # fusion statistics; translate()'s return shape is unchanged so

@@ -2,15 +2,18 @@
 
 Seeded :class:`random.Random` generators assemble verifiable bytecode
 from a gadget vocabulary (constants, ALU, masked array accesses,
-forward branches, counted loops, ``iinc``, statics, static helper calls
-and virtual calls over 1, 3 or 9 receiver classes), then run the same
-program with the template tier on and off.  Every observable —
-console, total cycles, per-tag ground truth, instructions retired,
-inline-cache statistics, invocation counts, surviving static state —
-must be identical.  A low invoke threshold guarantees the generated
-method actually executes as a template; the loops' backward branches
-reach on-stack replacement at their headers, and the virtual call sites
-drive the polymorphic inline cache mono -> poly -> megamorphic.
+forward branches, counted loops, ``iinc``, statics, static helper calls,
+virtual calls over 1, 3 or 9 receiver classes and try/catch regions that
+throw), then run the same program with the template tier on and off,
+and with the tier on a second time in a fresh VM that reuses the
+process's compiled template code.  Every observable — console, total
+cycles, per-tag ground truth, instructions retired, inline-cache
+statistics, invocation counts, surviving static state — must be
+identical.  A low invoke threshold guarantees the generated method
+actually executes as a template; the loops' backward branches reach
+on-stack replacement at their headers, the virtual call sites drive the
+polymorphic inline cache mono -> poly -> megamorphic, and the throws
+leave templated code for a handler in the same method.
 """
 
 import random
@@ -20,6 +23,8 @@ import pytest
 from repro.bytecode.assembler import ClassAssembler
 from repro.bytecode.opcodes import ArrayKind
 from repro.jit.policy import JitPolicy
+from repro.jit.template import _compile
+from repro.jvm.interpreter import Interpreter
 from repro.jvm.machine import VMConfig
 from repro.launcher import create_vm
 
@@ -37,6 +42,7 @@ RECEIVER_CLASSES = 9
 def _helper_class():
     c = ClassAssembler("fz.H")
     c.field("acc", static=True, default=0)
+    c.field("caught", static=True, default=0)  # handler runs
     with c.method("mix", "(I)I", static=True) as m:
         m.iload(0).iconst(3).imul().iconst(11).iadd().ireturn()
     return c
@@ -131,9 +137,40 @@ def _emit_simple(rng, m, labels):
         m.putstatic("fz.H", "acc")
 
 
+def _emit_try(rng, m, labels):
+    """A try region that throws when a local's low bits are zero, by
+    ``new``/``athrow`` of a RuntimeException or by an integer division
+    by zero.  The stack is empty at both range boundaries; the handler
+    (reached only by a throw, so never in the template) counts itself
+    in ``fz.H.caught``."""
+    start, end, handler, done = (f"L{next(labels)}" for _ in range(4))
+    m.label(start)
+    _emit_simple(rng, m, labels)
+    a = rng.choice(INT_LOCALS)
+    mask = rng.choice((1, 3, 7))
+    if rng.randrange(2):
+        m.iload(a).iconst(mask).iand().ifne(end)
+        m.new("java.lang.RuntimeException").dup()
+        m.invokespecial("java.lang.RuntimeException", "<init>", "()V")
+        m.athrow()
+    else:
+        m.iload(rng.choice(INT_LOCALS))
+        m.iload(a).iconst(mask).iand().idiv()
+        m.istore(rng.choice(INT_LOCALS))
+    m.label(end)
+    m.goto(done)
+    m.label(handler)
+    m.pop().getstatic("fz.H", "caught").iconst(1).iadd()
+    m.putstatic("fz.H", "caught")
+    m.label(done)
+    m.try_catch(start, end, handler, "java.lang.RuntimeException")
+
+
 def _emit_gadget(rng, m, labels, depth=0):
-    roll = rng.randrange(12)
-    if roll == 10 and depth < len(LOOP_LOCALS):
+    roll = rng.randrange(13)
+    if roll == 12:
+        _emit_try(rng, m, labels)
+    elif roll == 10 and depth < len(LOOP_LOCALS):
         _emit_loop(rng, m, labels, depth)
     elif roll == 11:
         _emit_virtual(rng, m)
@@ -216,6 +253,7 @@ def _observables(vm):
         "pic_poly_to_mega": vm.pic_poly_to_mega,
         "method_invocations": vm.method_invocations,
         "acc_static": vm.loader.loaded_class("fz.H").statics["acc"],
+        "caught_static": vm.loader.loaded_class("fz.H").statics["caught"],
     }
 
 
@@ -224,6 +262,14 @@ def test_differential_parity(seed):
     templated = _run(seed, True)
     interp = _run(seed, False)
     assert _observables(templated) == _observables(interp)
+    # a fresh VM in the same process takes every template's code from
+    # the process-wide cache and observes exactly what the first did
+    compiles = _compile.cache_info().misses
+    reused = _run(seed, True)
+    assert _compile.cache_info().misses == compiles
+    assert reused.jit.templates_translated == \
+        templated.jit.templates_translated
+    assert _observables(reused) == _observables(templated)
     # the generated method really ran as a template...
     method = templated.loader.loaded_class("fz.G").find_declared(
         "run", "(I)I")
@@ -235,16 +281,28 @@ def test_differential_parity(seed):
             templated.jit.template_deopts
 
 
-def test_gadgets_reach_osr_and_every_pic_state():
+def test_gadgets_reach_osr_and_every_pic_state(monkeypatch):
     # the loop gadgets must put live frames through on-stack
-    # replacement, and the virtual gadgets must drive call sites through
-    # every inline-cache transition, or the parity above proves nothing
+    # replacement, the virtual gadgets must drive call sites through
+    # every inline-cache transition, and the try gadgets must throw from
+    # templated code into a handler, or the parity above proves nothing
     # about those paths
+    template_throws = []
+    for name in ("_template_throw", "_template_raise"):
+        def record(self, thread, frame, *args, _orig=getattr(
+                Interpreter, name)):
+            template_throws.append(frame.method.qualified_name)
+            return _orig(self, thread, frame, *args)
+        monkeypatch.setattr(Interpreter, name, record)
     vms = [_run(seed, True) for seed in range(8)]
     assert sum(vm.jit.osr_entries for vm in vms) > 0
     assert sum(vm.pic_mono_to_poly for vm in vms) > 0
     assert sum(vm.pic_poly_to_mega for vm in vms) > 0
     assert sum(vm.pic_megamorphic for vm in vms) > 0
+    # every throw in fz.G.run is inside a try range its handler covers
+    assert "fz.G.run(I)I" in template_throws
+    assert sum(vm.loader.loaded_class("fz.H").statics["caught"]
+               for vm in vms) > 0
 
 
 def test_seeds_are_not_degenerate():

@@ -15,11 +15,14 @@ import pytest
 
 from repro.bytecode.assembler import ClassAssembler
 from repro.bytecode.opcodes import Op
+from repro.harness.config import AgentSpec, RunConfig
+from repro.harness.runner import _build_vm
 from repro.jit.policy import JitPolicy
 from repro.jit.template import translate
 from repro.jni.library import NativeLibrary
 from repro.jvm.machine import VMConfig
 from repro.launcher import create_vm
+from repro.workloads import get_workload
 
 from helpers import build_app, expr_main, run_main, run_with_watchdog
 
@@ -125,6 +128,77 @@ class TestTranslation:
         source = vm.jit.code_cache.source_for(method)
         assert source is not None
         assert "def template(interp, thread, frame, osr_pc=-1):" in source
+
+
+class TestSharedCode:
+    """Template code objects are compiled once per process and shared;
+    everything a VM owns stays in each VM's own function and globals."""
+
+    @staticmethod
+    def _templates(vm):
+        """Qualified method name -> installed template function."""
+        return {method.qualified_name: method.template
+                for cls in vm.loader.loaded_classes()
+                for method in cls.methods.values()
+                if method.template is not None}
+
+    @staticmethod
+    def _workload_vm(name):
+        workload = get_workload(name)
+        vm = _build_vm(workload, RunConfig(agent=AgentSpec.none()))
+        vm.launch(workload.main_class)
+        return vm
+
+    def test_second_vm_reuses_code_not_state(self):
+        vm_a = self._workload_vm("jess")
+        vm_b = self._workload_vm("jess")
+        a = self._templates(vm_a)
+        b = self._templates(vm_b)
+        assert a and a.keys() == b.keys()
+        for name, func_a in a.items():
+            func_b = b[name]
+            assert func_b.__code__ is func_a.__code__  # a cache hit
+            assert func_b is not func_a
+            assert func_a.__globals__["vm"] is vm_a
+            assert func_b.__globals__["vm"] is vm_b
+            assert func_b.__globals__ is not func_a.__globals__
+            assert func_b.osr_map is not func_a.osr_map
+            assert func_b.osr_map == func_a.osr_map
+
+    def test_equal_source_keeps_its_own_name(self):
+        def build():
+            twins = []
+            for name in ("tt.TwinA", "tt.TwinB"):
+                c = ClassAssembler(name)
+                with c.method("work", "(I)I", static=True) as m:
+                    m.iload(0).iconst(5).imul().iconst(2).iadd()
+                    m.ireturn()
+                twins.append(c)
+
+            def body(m):
+                m.iconst(0).istore(0)
+                m.iconst(0).istore(1)
+                m.label("t")
+                m.iload(1).ldc(50).if_icmpge("e")
+                m.iload(0).invokestatic("tt.TwinA", "work", "(I)I")
+                m.invokestatic("tt.TwinB", "work", "(I)I").istore(0)
+                m.iinc(1, 1).goto("t")
+                m.label("e")
+                m.iload(0)
+
+            return build_app(*twins, expr_main("tt.TwinM", body))
+
+        for _ in range(2):  # a first and a second VM
+            vm = _run_tiered(build(), "tt.TwinM", True)
+            methods = [vm.loader.loaded_class(name).find_declared(
+                "work", "(I)I") for name in ("tt.TwinA", "tt.TwinB")]
+            sources = {vm.jit.code_cache.source_for(m) for m in methods}
+            assert len(sources) == 1 and None not in sources
+            codes = [m.template.__code__ for m in methods]
+            assert codes[0] is not codes[1]
+            assert [c.co_filename for c in codes] == [
+                "<template:tt.TwinA.work(I)I>",
+                "<template:tt.TwinB.work(I)I>"]
 
 
 class TestParity:
